@@ -8,8 +8,6 @@ solved constraints only, and a solved problem yields a concrete witness.
 """
 from __future__ import annotations
 
-import gc
-import re
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, NotSolved
@@ -25,14 +23,17 @@ from .rewrite import (
     statuses,
 )
 from .schematic import (
+    Constraint,
     Eq,
-    clear_identity_memos,
-    memo_by_identity,
     Problem,
+    SApp,
+    STuple,
+    SUnit,
     Valuation,
     Var,
     check_problem,
     instantiate,
+    memo_on_object,
     satisfies_all,
 )
 from .foreduce import occurrences
@@ -55,44 +56,44 @@ class SolveResult:
     solved: Problem | None = None
 
 
-_FRESH = re.compile(r"_v\d+")
+@memo_on_object
+def _tokens(c: Constraint) -> tuple:
+    """c's tokens in prefix order: a tag per node followed by its name or,
+    for a tuple, its arity.  Each tag fixes how many tokens follow it, so
+    distinct constraints never share a token sequence."""
+    if isinstance(c, Eq):
+        out: list = ["eq"]
+        stack = [c.rhs, c.lhs]
+    else:
+        out = ["fresh", c.var]
+        stack = [c.target]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            out += ("var", t.name)
+        elif isinstance(t, SApp):
+            out += ("con", t.con)
+            stack.append(t.arg)
+        elif isinstance(t, STuple):
+            out += ("tuple", len(t.items))
+            stack.extend(reversed(t.items))
+        elif isinstance(t, SUnit):
+            out.append("unit")
+        else:
+            out += ("abs", t.binder)
+            stack.append(t.body)
+    return tuple(out)
 
 
-@memo_by_identity
-def _cstr(c) -> tuple[str, bool]:
-    s = str(c)
-    return s, "_v" in s
+def _canonical_key(p: Problem) -> tuple:
+    """Key problems by their multiset of constraints, compared structurally,
+    so that converging branches are explored once.
 
-
-def _canonical_key(p: Problem) -> str:
-    """Key problems modulo constraint order and fresh-variable numbering so
-    that converging branches are explored once.
-
-    Within one solve run the constraints pin down every type that matters
-    (variables introduced by narrowing appear in their pattern equation),
-    so the environment needs no separate fingerprint.
+    Within one search the constraints pin down every type that matters
+    (variables introduced by narrowing stay pinned by their pattern
+    equations), so the environment needs no separate fingerprint.
     """
-    table = _cstr.table
-    strs = []
-    fresh = False
-    for c in p.constraints:
-        hit = table.get(id(c))
-        s, f = hit[1] if hit is not None else _cstr(c)
-        strs.append(s)
-        fresh |= f
-    strs.sort()
-    if not fresh:
-        return tuple(strs)
-    blob = "\n".join(strs)
-    rename: dict[str, str] = {}
-
-    def sub(m: re.Match) -> str:
-        v = m.group(0)
-        if v not in rename:
-            rename[v] = f"_c{len(rename)}"
-        return rename[v]
-
-    return _FRESH.sub(sub, blob)
+    return tuple(sorted(map(_tokens, p.constraints)))
 
 
 def decide(sig: Signature, p: Problem,
@@ -100,24 +101,13 @@ def decide(sig: Signature, p: Problem,
     check_problem(sig, p)
     if not fo_sat(sig, p):
         return SolveResult(sat=False, reason="fo-reduction")
+    return _search(sig, p, options)
 
-    clear_identity_memos()
+
+def _search(sig: Signature, p: Problem,
+            options: SolveOptions) -> SolveResult:
     seen: set = set()
     stack = [p]
-    # The search allocates many small immutable objects and never builds
-    # reference cycles; collector passes over the live set dominate the
-    # runtime on large searches.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _search(sig, p, options, seen, stack)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-
-def _search(sig: Signature, p: Problem, options: SolveOptions,
-            seen: set, stack: list) -> SolveResult:
     nodes = 0
     dead_ends = 0
     while stack:

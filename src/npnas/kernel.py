@@ -63,10 +63,6 @@ Type = Union[NameSortT, DataSortT, UnitT, AbsT, TupleT]
 UNIT_T = UnitT()
 
 
-def is_name_sort(ty: Type) -> bool:
-    return isinstance(ty, NameSortT)
-
-
 # ---------------------------------------------------------------------------
 # Signatures
 
@@ -408,11 +404,6 @@ def _canon(g: GroundTree, binders: list[Name]) -> ANode:
     return AAbs(g.binder.sort, body)
 
 
-def atree(g: GroundTree) -> AlphaTree:
-    """Shorthand used all over the tests."""
-    return canonicalize(g)
-
-
 def realize(a: AlphaTree, avoid: frozenset[Name] = frozenset()) -> GroundTree:
     """Pick a ground representative; binder names are drawn above every
     free-name index (and every index in avoid) at the relevant sort."""
@@ -441,11 +432,6 @@ def realize(a: AlphaTree, avoid: frozenset[Name] = frozenset()) -> GroundTree:
         return GAbs(binder, body)
 
     return go(a.node, [])
-
-
-def atree_perm(pi: Permutation, a: AlphaTree) -> AlphaTree:
-    """Transport an alpha-tree along a permutation."""
-    return canonicalize(perm_apply(pi, realize(a)))
 
 
 def atree_fresh(n: Name, a: AlphaTree) -> bool:

@@ -28,6 +28,8 @@ from .schematic import (
     Var,
     abs_prefix,
     constraint_vars,
+    memo_on_object,
+    problem_vars,
     subst_constraint,
     term_vars,
     wrap_abs,
@@ -49,17 +51,7 @@ CLASH_FORMS = frozenset(
     {CLASH_SELF_FRESH, CLASH_CON, CLASH_OCCURS, CLASH_ABS_OCCURS})
 
 
-def _rest_vars(rest: tuple[Constraint, ...]) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for c in rest:
-        out |= constraint_vars(c)
-    return out
-
-
-from .schematic import memo_by_identity
-
-
-@memo_by_identity
+@memo_on_object
 def _split_eq(c: Eq):
     """Cut both abstraction prefixes at the shorter length; the surplus
     binders of the longer side fold back into its body."""
@@ -71,7 +63,7 @@ def _split_eq(c: Eq):
     return xs[:k], bl, ys[:k], br
 
 
-@memo_by_identity
+@memo_on_object
 def is_clash(c: Constraint) -> bool:
     """Whether c is one of the four clash shapes.  Clashes do not depend on
     the environment or the other constraints, so this is a cheap pre-check:
@@ -88,14 +80,7 @@ def is_clash(c: Constraint) -> bool:
 
 
 def has_clash(p: Problem) -> bool:
-    # Called once per search state; read the memo table directly so repeat
-    # constraints cost a dictionary probe rather than a function call.
-    table = is_clash.table
-    for c in p.constraints:
-        hit = table.get(id(c))
-        if is_clash(c) if hit is None else hit[1]:
-            return True
-    return False
+    return any(map(is_clash, p.constraints))
 
 
 def _classify(sig: Signature, env: Env, c: Constraint, in_rest) -> str | None:
@@ -143,8 +128,7 @@ def classify(sig: Signature, env: Env, c: Constraint,
              rest: tuple[Constraint, ...] = ()) -> str | None:
     """Normal-form label of c relative to the other constraints, or None
     when some rule still applies to it."""
-    used = _rest_vars(rest)
-    return _classify(sig, env, c, used.__contains__)
+    return statuses(sig, Problem(env, (c, *rest)))[0]
 
 
 from functools import cache
@@ -205,11 +189,8 @@ def _replace(p: Problem, i: int, new: list[Constraint],
 
 
 def _subst1(c: Constraint, x: str, t: Term) -> Constraint:
-    # Untouched constraints keep their identity (and cached attributes);
-    # probe the variable-set memo directly on the hot path.
-    hit = constraint_vars.table.get(id(c))
-    vs = constraint_vars(c) if hit is None else hit[1]
-    return subst_constraint(c, x, t) if x in vs else c
+    # Untouched constraints keep their identity (and memoised attributes).
+    return subst_constraint(c, x, t) if x in constraint_vars(c) else c
 
 
 def _subst_rest(p: Problem, i: int, keep: list[Constraint],
@@ -253,7 +234,6 @@ def _expand_fresh(sig: Signature, p: Problem, i: int,
 
 def _expand_eq(sig: Signature, p: Problem, i: int, c: Eq) -> tuple[Problem, ...]:
     env = p.env
-    rest = p.constraints[:i] + p.constraints[i + 1:]
     xs, bl, ys, br = _split_eq(c)
     k = len(xs)
 
@@ -290,7 +270,7 @@ def _expand_eq(sig: Signature, p: Problem, i: int, c: Eq) -> tuple[Problem, ...]
         if k == 0:
             return (_subst_rest(p, i, [c], x.name, t),)
         # Narrow x to the head shape of t, then revisit the equation.
-        taken = frozenset(env) | constraint_vars(c) | _rest_vars(rest)
+        taken = frozenset(env) | problem_vars(p)
         delta, pattern = narrow(sig, env[x.name], t, taken)
         new_env = dict(env)
         new_env.update(delta)
@@ -316,10 +296,8 @@ def expand(sig: Signature, p: Problem, i: int,
     """Branch problems obtained by applying the one applicable rule to
     constraint i.  Raises InvalidSelection if that constraint is normal."""
     c = p.constraints[i]
-    if verify:
-        rest = p.constraints[:i] + p.constraints[i + 1:]
-        if classify(sig, p.env, c, rest) is not None:
-            raise InvalidSelection(f"constraint {i} is in normal form: {c}")
+    if verify and statuses(sig, p)[i] is not None:
+        raise InvalidSelection(f"constraint {i} is in normal form: {c}")
     if isinstance(c, Fresh):
         return _expand_fresh(sig, p, i, c)
     return _expand_eq(sig, p, i, c)

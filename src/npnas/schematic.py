@@ -8,6 +8,7 @@ whose binder variable maps to a name is possibly capturing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Mapping, Union
 
 from .errors import (
@@ -92,39 +93,24 @@ Term = Union[Var, SUnit, STuple, SApp, SAbs]
 SUNIT = SUnit()
 
 
-_IDENTITY_MEMOS: list = []
+def memo_on_object(fn):
+    """Memoise a one-argument function on immutable values by storing the
+    result in the argument's own __dict__ (terms and constraints are frozen
+    dataclasses without __slots__), so it lives and dies with the object."""
+    key = f"_memo_{fn.__module__}.{fn.__qualname__}"
 
+    @wraps(fn)
+    def wrapped(obj):
+        try:  # in a search most calls are hits, where try is cheapest
+            return obj.__dict__[key]
+        except KeyError:
+            v = obj.__dict__[key] = fn(obj)
+            return v
 
-def memo_by_identity(fn):
-    """Memoize a one-argument function on immutable values by object
-    identity; the table pins its keys so ids stay valid.  Tables grow with
-    the objects seen, so long-running searches reset them via
-    clear_identity_memos."""
-    table: dict[int, tuple] = {}
-
-    def wrapped(t):
-        # Pinning t keeps its id unique among live objects, so a key hit
-        # can only come from t itself.
-        hit = table.get(id(t))
-        if hit is not None:
-            return hit[1]
-        v = fn(t)
-        table[id(t)] = (t, v)
-        return v
-
-    wrapped.__name__ = fn.__name__
-    wrapped.clear = table.clear
-    wrapped.table = table
-    _IDENTITY_MEMOS.append(table)
     return wrapped
 
 
-def clear_identity_memos() -> None:
-    for table in _IDENTITY_MEMOS:
-        table.clear()
-
-
-@memo_by_identity
+@memo_on_object
 def term_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Var):
         return frozenset([t.name])
@@ -180,7 +166,7 @@ class Fresh:
 Constraint = Union[Eq, Fresh]
 
 
-@memo_by_identity
+@memo_on_object
 def constraint_vars(c: Constraint) -> frozenset[str]:
     if isinstance(c, Eq):
         return term_vars(c.lhs) | term_vars(c.rhs)

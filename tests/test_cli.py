@@ -11,9 +11,10 @@ from npnas.cli import (
     parse_term,
     parse_type,
 )
+from npnas.decider import decide
 from npnas.errors import SourceSyntaxError
 from npnas.kernel import AbsT, NameSortT, TupleT, UNIT_T
-from npnas.schematic import SAbs, SApp, STuple, SUNIT, Var
+from npnas.schematic import SAbs, SApp, STuple, SUNIT, Var, satisfies_all
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -170,3 +171,32 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(PROBLEMS / "swap-pair-fresh.np"),
                        "--budget", "0")
     assert code == 3
+
+
+def _deep_term(depth: int) -> str:
+    """`depth` constructor levels, alternating L over an abstraction and P
+    over a pair, around the name b."""
+    t = "(con V b)"
+    for i in range(depth):
+        t = (f"(con L (abs b {t}))" if i % 2 == 0
+             else f"(con P (tuple {t} (con Z unit)))")
+    return t
+
+
+def test_solve_deep_term(tmp_path, capsys):
+    # Rendering the constraint recurses once per level; the search must not.
+    # (An equation this deep still exhausts the stack when the witness is
+    # re-checked by comparing alpha-trees, so the constraint is a freshness.)
+    text = ("(signature (name-sort nm) (data-sort tm)\n"
+            "  (con Z unit tm) (con V (name nm) tm)\n"
+            "  (con L (abs (name nm) (data tm)) tm)\n"
+            "  (con P (pair (data tm) (data tm)) tm))\n"
+            "(vars (a (name nm)) (b (name nm)))\n"
+            f"(constraints (fresh a {_deep_term(150)}))\n")
+    sig, p = parse_problem(text)
+    r = decide(sig, p)
+    assert r.sat and satisfies_all(r.witness, p)
+    path = tmp_path / "deep.np"
+    path.write_text(text)
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0 and out.startswith("result: sat")

@@ -1,8 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from npnas.decider import SolveOptions, decide, extract_witness
+from npnas.decider import SolveOptions, _canonical_key, decide, extract_witness
 from npnas.errors import BudgetExhausted, IllFormedProblem, NotSolved
 from npnas.kernel import DataSortT, NameSortT, make_signature
 from npnas.oracle import brute_sat, random_problem
@@ -117,3 +119,30 @@ def test_shared_values_avoid_the_name_pool(sig):
     # handed to name variables
     pool_names = {V["u"].name(), V["v"].name()}
     assert not (V["p"].free_names() & pool_names)
+
+
+# ---------------------------------------------------------------------------
+# Search state
+
+def test_search_keeps_no_input_alive(sig):
+    # Memoised facts live on the constraints themselves, so once the caller
+    # drops the problem and the result nothing else holds its constraints.
+    c = Eq(Var("x"), SApp("V", Var("a")))
+    p = Problem({"a": NM, "b": NM, "x": TM}, (c, Fresh("a", Var("b"))))
+    ref = weakref.ref(c)
+    r = decide(sig, p)
+    assert r.sat
+    del c, p, r
+    gc.collect()
+    assert ref() is None
+
+
+def test_memo_key_is_structural():
+    # Both render as "(eq a b c)"; the key must still tell them apart.
+    p = Problem({}, (Eq(Var("a b"), Var("c")),))
+    q = Problem({}, (Eq(Var("a"), Var("b c")),))
+    assert str(p) == str(q)
+    assert _canonical_key(p) != _canonical_key(q)
+    swapped = Problem({}, (Fresh("a", Var("b")), Eq(Var("x"), Var("y"))))
+    assert _canonical_key(swapped) == _canonical_key(
+        Problem({}, swapped.constraints[::-1]))
