@@ -20,18 +20,23 @@ with NT ::= SYM | (app id SYM) | (app PERM NT) and PERM ::= SYM
           | (swap NT NT).
 
 Exit codes: 0 satisfiable (or plain success), 1 unsatisfiable, 2 usage or
-validation errors, 3 exhausted budgets and guards.
+validation errors, 3 exhausted budgets and guards, or input nested too
+deeply for the interpreter's recursion limit, 4 internal errors (a witness
+that fails its re-check, or any other unexpected exception).
 """
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+import traceback
 from dataclasses import dataclass
 
 from . import eubridge
 from .decider import SolveOptions, decide
 from .errors import (
     BudgetExhausted,
+    NotSolved,
     NpnasError,
     PoolTooLarge,
     SearchSpaceTooLarge,
@@ -80,41 +85,25 @@ class SList:
     col: int
 
 
-def tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < len(text) and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield text[start:i], line, start_col
+# Only space, tab, carriage return and newline separate atoms (a form feed is
+# part of one); newlines are matched so that lines can be counted.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
 
 
 def parse_sexprs(text: str) -> list:
     stack: list[list] = []
     marks: list[tuple[int, int]] = []
     top: list = []
-    last = (1, 1)
-    for tok, line, col in tokenize(text):
-        last = (line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line += 1
+            line_start = m.end()
+            continue
+        if tok[0] == ";":
+            continue
+        col = m.start() - line_start + 1
         if tok == "(":
             stack.append(top)
             marks.append((line, col))
@@ -262,19 +251,13 @@ def format_problem(sig: Signature, p: Problem) -> str:
         lines.append(f"  (con {k} {arg} {res})")
     lines[-1] += ")"
     lines.append("(vars")
-    if p.env:
-        for x, ty in p.env.items():
-            lines.append(f"  ({x} {ty})")
-        lines[-1] += ")"
-    else:
-        lines[-1] += ")"
+    for x, ty in p.env.items():
+        lines.append(f"  ({x} {ty})")
+    lines[-1] += ")"
     lines.append("(constraints")
-    if p.constraints:
-        for c in p.constraints:
-            lines.append(f"  {c}")
-        lines[-1] += ")"
-    else:
-        lines[-1] += ")"
+    for c in p.constraints:
+        lines.append(f"  {c}")
+    lines[-1] += ")"
     return "\n".join(lines) + "\n"
 
 
@@ -467,9 +450,22 @@ def main(argv=None) -> int:
     except (BudgetExhausted, PoolTooLarge, SearchSpaceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 3
+    except NotSolved as exc:  # a solver fault, not an input error
+        return _internal_error(exc)
     except (NpnasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    traceback.print_exception(exc)
+    print(f"error: internal error: {exc}", file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

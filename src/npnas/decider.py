@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, NotSolved
-from .foreduce import fo_sat
+from .foreduce import fo_sat, occurrences
 from .kernel import AlphaTree, Name, NameSortT, Signature, canonicalize, inhabitant
 from .rewrite import (
     SOLVED_ABS_PAIR,
@@ -36,7 +36,6 @@ from .schematic import (
     memo_on_object,
     satisfies_all,
 )
-from .foreduce import occurrences
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class SolveResult:
     witness: Valuation | None = None
     nodes: int = 0                # problems whose successors were computed
     normal_forms: int = 0         # terminal problems encountered
-    solved: Problem | None = None
 
 
 @memo_on_object
@@ -127,9 +125,10 @@ def _search(sig: Signature, p: Problem,
         if not idx:
             V = extract_witness(sig, q)
             V = {x: V[x] for x in p.env}
-            assert satisfies_all(V, p)
+            if not satisfies_all(V, p):
+                raise NotSolved("witness fails the input problem")
             return SolveResult(sat=True, witness=V, nodes=nodes,
-                               normal_forms=dead_ends + 1, solved=q)
+                               normal_forms=dead_ends + 1)
         nodes += 1
         if options.budget is not None and nodes > options.budget:
             raise BudgetExhausted(f"expanded more than {options.budget} problems")

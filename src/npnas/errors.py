@@ -46,7 +46,8 @@ class Uninhabited(NpnasError):
 
 
 class NotSolved(NpnasError):
-    """Witness extraction was called on a problem that is not solved."""
+    """Witness extraction was called on a problem that is not solved, or a
+    witness fails its re-check."""
 
 
 class IllFormedProblem(NpnasError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import PhaseTwoViolation, PoolTooLarge, UndeclaredSymbol, ValidationError
-from .kernel import NameSortT, Signature, make_signature
+from .kernel import NameSortT, make_signature
 from .schematic import Eq, Fresh, Problem, SAbs, STuple, Var
 
 ATOM_SORT = "atom"
@@ -143,10 +143,6 @@ def validate_eu(p: EUProblem) -> None:
 # ---------------------------------------------------------------------------
 # Translation
 
-def vvar(v: str) -> str:
-    return v
-
-
 def pvvar(q: str, v: str) -> str:
     return f"{q}.{v}"
 
@@ -181,16 +177,16 @@ class _Translator:
 
     def trans(self, nt: NameTerm) -> str:
         if isinstance(nt, Vertex):
-            return self.declare(vvar(nt.sym))
+            return self.declare(nt.sym)
         perm = nt.perm
         if isinstance(perm, PIdent):
-            return self.declare(vvar(nt.target.sym))
+            return self.declare(nt.target.sym)
         if isinstance(perm, PVar):
             v = nt.target.sym
             sites = self.applications.setdefault(perm.sym, [])
             if v not in sites:
                 sites.append(v)
-            self.declare(vvar(v))
+            self.declare(v)
             return self.declare(pvvar(perm.sym, v))
         x = self.trans(perm.a)
         y = self.trans(perm.b)
@@ -206,7 +202,7 @@ def translate_eu(p: EUProblem) -> Problem:
     validate_eu(p)
     tr = _Translator()
     for v in p.names + p.name_vars:
-        tr.declare(vvar(v))
+        tr.declare(v)
     for c in p.constraints:
         lhs = tr.trans(c.lhs)
         rhs = tr.trans(c.rhs)
@@ -216,13 +212,13 @@ def translate_eu(p: EUProblem) -> Problem:
             tr.out.append(Fresh(lhs, Var(rhs)))
     # Declared name constants denote pairwise distinct names.
     for a, b in itertools.combinations(p.names, 2):
-        tr.out.append(Fresh(vvar(a), Var(vvar(b))))
+        tr.out.append(Fresh(a, Var(b)))
     # Each permutation variable must act injectively and be well defined,
     # i.e. its images must mirror the equality pattern of its arguments.
     for q in p.perm_vars:
         sites = tr.applications.get(q, [])
         for v, v2 in itertools.combinations(sites, 2):
-            tr.out.append(bij_gadget(vvar(v), vvar(v2), pvvar(q, v), pvvar(q, v2)))
+            tr.out.append(bij_gadget(v, v2, pvvar(q, v), pvvar(q, v2)))
     return Problem(dict(tr.env), tuple(tr.out))
 
 

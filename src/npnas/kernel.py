@@ -5,7 +5,7 @@ All values here are immutable and all operations are pure functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import SortMismatch, TypeMismatch, Uninhabited, ValidationError
@@ -75,9 +75,6 @@ class Signature:
 
     def arg_type(self, con: str) -> Type:
         return self.constructors[con][0]
-
-    def result_sort(self, con: str) -> str:
-        return self.constructors[con][1]
 
 
 def make_signature(name_sorts, data_sorts, constructors) -> Signature:
@@ -280,34 +277,26 @@ def fresh_name(n: Name, g: GroundTree) -> bool:
     return fresh_name(n, g.body)
 
 
-def alpha_eq(g1: GroundTree, g2: GroundTree, ty: Type | None = None,
-             sig: Signature | None = None) -> bool:
+def alpha_eq(g1: GroundTree, g2: GroundTree) -> bool:
     """Structural alpha-equivalence; distinct binders go through a swap with
     the usual freshness side-condition."""
-    if ty is not None and sig is not None:
-        check_tree(sig, g1, ty)
-        check_tree(sig, g2, ty)
-    return _aeq(g1, g2)
-
-
-def _aeq(g1: GroundTree, g2: GroundTree) -> bool:
     if isinstance(g1, Name) and isinstance(g2, Name):
         return g1 == g2
     if isinstance(g1, GUnit) and isinstance(g2, GUnit):
         return True
     if isinstance(g1, GTuple) and isinstance(g2, GTuple):
         return len(g1.items) == len(g2.items) and all(
-            _aeq(a, b) for a, b in zip(g1.items, g2.items))
+            alpha_eq(a, b) for a, b in zip(g1.items, g2.items))
     if isinstance(g1, GApp) and isinstance(g2, GApp):
-        return g1.con == g2.con and _aeq(g1.arg, g2.arg)
+        return g1.con == g2.con and alpha_eq(g1.arg, g2.arg)
     if isinstance(g1, GAbs) and isinstance(g2, GAbs):
         if g1.binder.sort != g2.binder.sort:
             return False
         if g1.binder == g2.binder:
-            return _aeq(g1.body, g2.body)
+            return alpha_eq(g1.body, g2.body)
         if not fresh_name(g1.binder, g2.body):
             return False
-        return _aeq(g1.body, perm_apply(swap(g1.binder, g2.binder), g2.body))
+        return alpha_eq(g1.body, perm_apply(swap(g1.binder, g2.binder), g2.body))
     return False
 
 

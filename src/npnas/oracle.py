@@ -43,6 +43,7 @@ from .schematic import (
     Term,
     Valuation,
     Var,
+    atree_size,
     satisfies_all,
 )
 from . import eubridge
@@ -88,21 +89,11 @@ def enumerate_atrees(sig: Signature, ty: Type, max_size: int,
         head, rest = items[0], items[1:]
         # Leave at least one size unit for each remaining component.
         for h in enum(head, budget - len(rest), ctx):
-            hsize = _node_size(h)
+            hsize = atree_size(AlphaTree(h))
             for tail in _enum_tuple(rest, budget - hsize, ctx):
                 yield (h,) + tail
 
     return [AlphaTree(node) for node in enum(ty, max_size, ())]
-
-
-def _node_size(node) -> int:
-    if isinstance(node, (Name, ABound, AUnit)):
-        return 1
-    if isinstance(node, ATuple):
-        return 1 + sum(_node_size(i) for i in node.items)
-    if isinstance(node, AApp):
-        return 1 + _node_size(node.arg)
-    return 2 + _node_size(node.body)
 
 
 # ---------------------------------------------------------------------------

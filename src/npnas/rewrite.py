@@ -9,10 +9,8 @@ strategy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidSelection, NarrowOnVariable
-from .kernel import AbsT, NameSortT, Signature, TupleT, Type, UnitT
+from .kernel import AbsT, NameSortT, Signature, TupleT, Type
 from .schematic import (
     Constraint,
     Env,
@@ -188,15 +186,10 @@ def _replace(p: Problem, i: int, new: list[Constraint],
     return Problem(env if env is not None else p.env, cs)
 
 
-def _subst1(c: Constraint, x: str, t: Term) -> Constraint:
-    # Untouched constraints keep their identity (and memoised attributes).
-    return subst_constraint(c, x, t) if x in constraint_vars(c) else c
-
-
 def _subst_rest(p: Problem, i: int, keep: list[Constraint],
                 x: str, t: Term, env: Env | None = None) -> Problem:
-    before = tuple(_subst1(c, x, t) for c in p.constraints[:i])
-    after = tuple(_subst1(c, x, t) for c in p.constraints[i + 1:])
+    before = tuple(subst_constraint(c, x, t) for c in p.constraints[:i])
+    after = tuple(subst_constraint(c, x, t) for c in p.constraints[i + 1:])
     return Problem(env if env is not None else p.env,
                    before + tuple(keep) + after)
 

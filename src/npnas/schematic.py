@@ -38,7 +38,6 @@ from .kernel import (
     TupleT,
     Type,
     UNIT_T,
-    UnitT,
     atree_fresh,
     canonicalize,
     realize,
@@ -253,12 +252,13 @@ def subst_term(t: Term, x: str, r: Term) -> Term:
     """Replace every occurrence of x in t by r, without renaming binders.
 
     Binder positions only accept variables, so substituting a compound term
-    for a variable that occurs as a binder is rejected.
+    for a variable that occurs as a binder is rejected.  Subterms without x
+    are returned themselves, so they keep their memoised facts.
     """
-    if isinstance(t, Var):
-        return r if t.name == x else t
-    if isinstance(t, SUnit):
+    if x not in term_vars(t):
         return t
+    if isinstance(t, Var):
+        return r
     if isinstance(t, STuple):
         return STuple(tuple(subst_term(item, x, r) for item in t.items))
     if isinstance(t, SApp):
@@ -273,6 +273,8 @@ def subst_term(t: Term, x: str, r: Term) -> Term:
 
 
 def subst_constraint(c: Constraint, x: str, r: Term) -> Constraint:
+    if x not in constraint_vars(c):
+        return c
     if isinstance(c, Eq):
         return Eq(subst_term(c.lhs, x, r), subst_term(c.rhs, x, r))
     var = c.var

@@ -32,6 +32,15 @@ def test_sexpr_positions_in_errors():
     assert e2.value.line == 1 and e2.value.column == 4
 
 
+def test_sexpr_positions_after_tabs_returns_and_comments():
+    # A tab and a carriage return each count as one column.
+    (form,) = parse_sexprs("(a\tb) ; trailing\r\n")
+    assert [(x.line, x.col) for x in form.items] == [(1, 2), (1, 4)]
+    with pytest.raises(SourceSyntaxError) as e:
+        parse_sexprs("(a\tb) ; trailing\r\n\t\r )")
+    assert e.value.line == 2 and e.value.column == 4
+
+
 def test_sexpr_comments_ignored():
     forms = parse_sexprs("; comment\n(a b) ; trailing\n")
     assert len(forms) == 1
@@ -183,15 +192,41 @@ def _deep_term(depth: int) -> str:
     return t
 
 
+DEEP_SIGNATURE = ("(signature (name-sort nm) (data-sort tm)\n"
+                  "  (con Z unit tm) (con V (name nm) tm)\n"
+                  "  (con L (abs (name nm) (data tm)) tm)\n"
+                  "  (con P (pair (data tm) (data tm)) tm))\n")
+
+
+def test_solve_deep_equation_is_a_resource_limit(tmp_path, capsys):
+    # Comparing alpha-trees in the witness re-check recurses once per level.
+    path = tmp_path / "deep-eq.np"
+    path.write_text(DEEP_SIGNATURE + "(vars (b (name nm)) (x (data tm)))\n"
+                    f"(constraints (eq x {_deep_term(160)}))\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: input nested too deeply\n"
+
+
+def test_deep_numeral_is_a_resource_limit(tmp_path, capsys):
+    numeral = "(con Z unit)"
+    for _ in range(3000):
+        numeral = f"(con S {numeral})"
+    path = tmp_path / "numeral.np"
+    path.write_text("(signature (data-sort nat)\n"
+                    "  (con Z unit nat) (con S (data nat) nat))\n"
+                    "(vars (x (data nat)))\n"
+                    f"(constraints (eq x {numeral}))\n")
+    for command in ("check", "solve"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 3 and err == "error: input nested too deeply\n"
+
+
 def test_solve_deep_term(tmp_path, capsys):
     # Rendering the constraint recurses once per level; the search must not.
     # (An equation this deep still exhausts the stack when the witness is
     # re-checked by comparing alpha-trees, so the constraint is a freshness.)
-    text = ("(signature (name-sort nm) (data-sort tm)\n"
-            "  (con Z unit tm) (con V (name nm) tm)\n"
-            "  (con L (abs (name nm) (data tm)) tm)\n"
-            "  (con P (pair (data tm) (data tm)) tm))\n"
-            "(vars (a (name nm)) (b (name nm)))\n"
+    text = (DEEP_SIGNATURE + "(vars (a (name nm)) (b (name nm)))\n"
             f"(constraints (fresh a {_deep_term(150)}))\n")
     sig, p = parse_problem(text)
     r = decide(sig, p)

@@ -4,9 +4,10 @@ import weakref
 
 import pytest
 
+from npnas import decider
 from npnas.decider import SolveOptions, _canonical_key, decide, extract_witness
 from npnas.errors import BudgetExhausted, IllFormedProblem, NotSolved
-from npnas.kernel import DataSortT, NameSortT, make_signature
+from npnas.kernel import AlphaTree, DataSortT, Name, NameSortT, make_signature
 from npnas.oracle import brute_sat, random_problem
 from npnas.schematic import Eq, Fresh, Problem, SAbs, SApp, SUNIT, Var, satisfies_all
 
@@ -94,6 +95,16 @@ def test_extract_witness_requires_solved(sig):
     p = Problem({"x": TM}, (Eq(Var("x"), Var("x")),))
     with pytest.raises(NotSolved):
         extract_witness(sig, p)
+
+
+def test_search_rejects_a_witness_that_fails(sig, monkeypatch):
+    # The re-check must not be an assert, which `python -O` strips.
+    p = Problem({"a": NM, "b": NM}, (Fresh("a", Var("b")),))
+    same = AlphaTree(Name("nm", 0))
+    monkeypatch.setattr(decider, "extract_witness",
+                        lambda sig, q: {"a": same, "b": same})
+    with pytest.raises(NotSolved):
+        decide(sig, p)
 
 
 def test_extract_witness_on_solved_forms(sig):

@@ -114,6 +114,28 @@ def test_subst_rejects_compound_in_binder_position():
         subst_term(SAbs("a", SUNIT), "a", SUNIT)
     with pytest.raises(IllegalBinderSubstitution):
         subst_constraint(Fresh("a", SUNIT), "a", STuple((SUNIT, SUNIT)))
+    # The variable occurs only as a binder, below a compound term.
+    nested = SApp("K", STuple((Var("y"), SAbs("a", SUNIT))))
+    with pytest.raises(IllegalBinderSubstitution):
+        subst_term(nested, "a", SUNIT)
+    with pytest.raises(IllegalBinderSubstitution):
+        subst_constraint(Eq(Var("y"), nested), "a", SApp("K", Var("b")))
+
+
+def test_subst_returns_untouched_terms_themselves():
+    r = SApp("K", Var("y"))
+    t = SAbs("a", STuple((Var("z"), SUNIT)))
+    assert subst_term(t, "x", r) is t
+    a, b = SApp("K", Var("x")), SAbs("a", Var("z"))
+    got = subst_term(STuple((a, b)), "x", r)
+    assert got == STuple((SApp("K", r), b))
+    assert got.items[1] is b
+
+
+def test_subst_returns_untouched_constraints_themselves():
+    r = SApp("K", Var("y"))
+    for c in (Eq(Var("z"), SAbs("a", Var("z"))), Fresh("a", Var("z"))):
+        assert subst_constraint(c, "x", r) is c
 
 
 # ---------------------------------------------------------------------------
