@@ -23,11 +23,12 @@ class Config:
 def run(cfg: Config) -> int:
     rng = random.Random(cfg.seed)
     opts = SolveOptions(strategy=cfg.strategy)
-    stats = {"sat": 0, "unsat": 0, "inexact-skipped": 0}
+    stats = {"sat": 0, "unsat": 0, "inexact-skipped": 0, "nodes": 0}
     t0 = time.perf_counter()
     for i in range(cfg.count):
         sig, p = random_problem(rng, cfg.max_vars, cfg.max_constraints)
         r = decide(sig, p, opts)
+        stats["nodes"] += r.nodes
         res = brute_sat(sig, p)
         if res.exact or res.sat:
             if res.sat != r.sat:

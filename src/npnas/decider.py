@@ -5,6 +5,21 @@ already unsatisfiability.  Success guarantees the rewrite relation is
 strongly normalising, so exhaustive search over successor sets terminates:
 the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
+
+The search takes two shortcuts over the paper's relation (`rewrite.expand`,
+`successors`), both sound because every rule's branch set preserves
+satisfiability: one reducible constraint's branches are a complete choice,
+and the search terminates under any selection once the collapse succeeds.
+
+- Committed orientation: of the two branches of `eq x y` (substitute x:=y or
+  y:=x in the rest, keeping the equation), only the first is explored.  Each
+  is equisatisfiable with the parent on its own, since it substitutes along
+  an equation that stays in the problem.
+- Single-branch first: under the focused strategy the first reducible
+  constraint whose rule has one branch is expanded before any that branches,
+  as unit propagation comes before branching in DPLL.  Only a name compared
+  with a binder prefix branches: freshness under binders, or an equation of
+  two prefixed variables.
 """
 from __future__ import annotations
 
@@ -18,19 +33,23 @@ from .rewrite import (
     SOLVED_ABS_SAME,
     SOLVED_ASSIGN,
     SOLVED_FORMS,
+    _split_eq,
     expand,
     has_clash,
     statuses,
 )
 from .schematic import (
     Constraint,
+    Env,
     Eq,
+    Fresh,
     Problem,
     SApp,
     STuple,
     SUnit,
     Valuation,
     Var,
+    abs_prefix,
     check_problem,
     instantiate,
     memo_on_object,
@@ -94,6 +113,30 @@ def _canonical_key(p: Problem) -> tuple:
     return tuple(sorted(map(_tokens, p.constraints)))
 
 
+def _branching(env: Env, c: Constraint) -> bool:
+    """Whether the search gets more than one branch from reducible c: a name
+    compared with a binder prefix branches on each binder of its sort."""
+    if isinstance(c, Fresh):
+        ys, core = abs_prefix(c.target)
+        x = c.var
+    else:
+        ys, bl, _, core = _split_eq(c)
+        if not isinstance(bl, Var):
+            return False
+        x = bl.name
+    return isinstance(core, Var) and any(env[y] == env[x] for y in ys)
+
+
+def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
+    """The branches the search explores for reducible constraint i: all of
+    `expand`'s, but only the first orientation of `eq x y`."""
+    kids = expand(sig, q, i, verify=False)
+    c = q.constraints[i]
+    if isinstance(c, Eq) and isinstance(c.lhs, Var) and isinstance(c.rhs, Var):
+        return kids[:1]
+    return kids
+
+
 def decide(sig: Signature, p: Problem,
            options: SolveOptions = SolveOptions()) -> SolveResult:
     check_problem(sig, p)
@@ -133,10 +176,11 @@ def _search(sig: Signature, p: Problem,
         if options.budget is not None and nodes > options.budget:
             raise BudgetExhausted(f"expanded more than {options.budget} problems")
         if options.strategy == "focused":
-            kids = expand(sig, q, idx[0], verify=False)
+            i = next((i for i in idx if not _branching(q.env, q.constraints[i])),
+                     idx[0])
+            kids = _branches(sig, q, i)
         else:
-            kids = tuple(r for i in idx
-                         for r in expand(sig, q, i, verify=False))
+            kids = tuple(r for i in idx for r in _branches(sig, q, i))
         stack.extend(reversed(kids))
     return SolveResult(sat=False, reason="exhausted-normal-forms",
                        nodes=nodes, normal_forms=dead_ends)

@@ -9,6 +9,8 @@ strategy.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import InvalidSelection, NarrowOnVariable
 from .kernel import AbsT, NameSortT, Signature, TupleT, Type
 from .schematic import (
@@ -127,9 +129,6 @@ def classify(sig: Signature, env: Env, c: Constraint,
     """Normal-form label of c relative to the other constraints, or None
     when some rule still applies to it."""
     return statuses(sig, Problem(env, (c, *rest)))[0]
-
-
-from functools import cache
 
 
 @cache
@@ -322,6 +321,8 @@ def successors(sig: Signature, p: Problem,
     focused: branches of the first reducible constraint only (complete,
     since every rule's branch set preserves satisfiability).
     full: branches of every reducible constraint.
+    This is the paper's relation; the decider's search shortcuts over it
+    live in `decider`.
     """
     idx = reducible_indices(sig, p)
     if not idx:

@@ -1,14 +1,18 @@
 import gc
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
 from npnas import decider
+from npnas.cli import parse_eu
 from npnas.decider import SolveOptions, _canonical_key, decide, extract_witness
 from npnas.errors import BudgetExhausted, IllFormedProblem, NotSolved
-from npnas.kernel import AlphaTree, DataSortT, Name, NameSortT, make_signature
-from npnas.oracle import brute_sat, random_problem
+from npnas.eubridge import EU_SIGNATURE, translate_eu
+from npnas.kernel import UNIT_T, AlphaTree, DataSortT, Name, NameSortT, make_signature
+from npnas.oracle import brute_sat, random_eu_problem, random_problem
+from npnas.rewrite import expand, reducible_indices, successors
 from npnas.schematic import Eq, Fresh, Problem, SAbs, SApp, SUNIT, Var, satisfies_all
 
 NM = NameSortT("nm")
@@ -157,3 +161,81 @@ def test_memo_key_is_structural():
     swapped = Problem({}, (Fresh("a", Var("b")), Eq(Var("x"), Var("y"))))
     assert _canonical_key(swapped) == _canonical_key(
         Problem({}, swapped.constraints[::-1]))
+
+
+# ---------------------------------------------------------------------------
+# Search shortcuts
+
+def _search_states(sig, p, limit=40):
+    """Up to `limit` problems reachable from p, breadth first."""
+    states, frontier = [], [p]
+    while frontier and len(states) < limit:
+        q = frontier.pop(0)
+        states.append(q)
+        frontier.extend(successors(sig, q, "full"))
+    return states
+
+
+def _sampled_states():
+    rng = random.Random(44)
+    for _ in range(60):
+        sig, p = random_problem(rng)
+        yield from ((sig, q) for q in _search_states(sig, p))
+    rng = random.Random(45)
+    for _ in range(20):
+        p = translate_eu(random_eu_problem(rng))
+        yield from ((EU_SIGNATURE, q) for q in _search_states(EU_SIGNATURE, p))
+
+
+def test_committed_orientation_is_one_of_expands_branches(sig):
+    env = {"x": TM, "y": TM, "z": TM}
+    p = Problem(env, (Eq(Var("x"), Var("y")),
+                      Eq(Var("x"), Var("z")), Eq(Var("y"), Var("z"))))
+    (kid,) = decider._branches(sig, p, 0)
+    assert kid in expand(sig, p, 0)
+    committed = 0
+    for s, q in _sampled_states():
+        for i in reducible_indices(s, q):
+            c = q.constraints[i]
+            if isinstance(c, Eq) and isinstance(c.lhs, Var) and isinstance(c.rhs, Var):
+                (kid,) = decider._branches(s, q, i)
+                assert kid in expand(s, q, i)
+                committed += 1
+    assert committed > 100
+
+
+def test_single_branch_predicate_matches_the_branch_count():
+    counts = {True: 0, False: 0}
+    for s, q in _sampled_states():
+        for i in reducible_indices(s, q):
+            branching = len(decider._branches(s, q, i)) > 1
+            assert decider._branching(q.env, q.constraints[i]) == branching, (q, i)
+            counts[branching] += 1
+    assert min(counts.values()) > 100, counts
+
+
+def test_binders_of_another_sort_do_not_branch():
+    nn = NameSortT("nn")
+    two = make_signature(["nm", "nn"], ["tm"], {"Z": (UNIT_T, "tm")})
+    env = {"a": NM, "b": nn, "c": nn, "x": NM, "y": NM}
+    for c in (Fresh("a", SAbs("b", Var("x"))),
+              Eq(SAbs("b", Var("x")), SAbs("c", Var("y")))):
+        p = Problem(env, (c,))
+        assert reducible_indices(two, p) == (0,)
+        assert len(expand(two, p, 0)) == 1
+        assert not decider._branching(env, c)
+
+
+def test_committed_choice_shrinks_the_eu_search():
+    # Seed 51's instance 21 needed 35,033 nodes while the search enumerated
+    # both orientations of every name equation.
+    rng = random.Random(51)
+    p = [random_eu_problem(rng) for _ in range(22)][21]
+    assert decide(EU_SIGNATURE, translate_eu(p), SolveOptions(budget=500)).sat
+
+
+def test_ex67_focused_search_is_small():
+    ex67 = Path(__file__).parent.parent / "problems" / "ex67.eu"
+    p = translate_eu(parse_eu(ex67.read_text()))
+    r = decide(EU_SIGNATURE, p)
+    assert not r.sat and r.nodes <= 20
