@@ -8,7 +8,6 @@ and the summary counts the skipped ones."""
 import argparse
 import random
 import time
-from dataclasses import dataclass
 
 from npnas.decider import SolveOptions, decide
 from npnas.errors import BudgetExhausted
@@ -16,15 +15,7 @@ from npnas.eubridge import EU_SIGNATURE, eu_brute_sat, translate_eu
 from npnas.oracle import random_eu_problem
 
 
-@dataclass(frozen=True)
-class Config:
-    count: int = 500
-    seed: int = 0
-    strategy: str = "focused"
-    budget: int | None = None
-
-
-def run(cfg: Config) -> int:
+def run(cfg: argparse.Namespace) -> int:
     rng = random.Random(cfg.seed)
     opts = SolveOptions(strategy=cfg.strategy, budget=cfg.budget)
     sat = unsat = skipped = nodes = 0
@@ -55,14 +46,13 @@ def run(cfg: Config) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=Config.count)
-    ap.add_argument("--seed", type=int, default=Config.seed)
+    ap.add_argument("--count", type=int, default=500)
+    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--strategy", choices=("focused", "full"),
-                    default=Config.strategy)
-    ap.add_argument("--budget", type=int, default=Config.budget,
+                    default="focused")
+    ap.add_argument("--budget", type=int, default=None,
                     help="skip an instance after this many expanded problems")
-    a = ap.parse_args()
-    return run(Config(a.count, a.seed, a.strategy, a.budget))
+    return run(ap.parse_args())
 
 
 if __name__ == "__main__":

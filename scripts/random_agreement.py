@@ -4,23 +4,13 @@ randomized problems, and report verdict/witness statistics."""
 import argparse
 import random
 import time
-from dataclasses import dataclass
 
 from npnas.decider import SolveOptions, decide
 from npnas.oracle import brute_sat, random_problem
 from npnas.schematic import satisfies_all
 
 
-@dataclass(frozen=True)
-class Config:
-    count: int = 500
-    seed: int = 0
-    max_vars: int = 4
-    max_constraints: int = 3
-    strategy: str = "focused"
-
-
-def run(cfg: Config) -> int:
+def run(cfg: argparse.Namespace) -> int:
     rng = random.Random(cfg.seed)
     opts = SolveOptions(strategy=cfg.strategy)
     stats = {"sat": 0, "unsat": 0, "inexact-skipped": 0, "nodes": 0}
@@ -55,16 +45,13 @@ def run(cfg: Config) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=Config.count)
-    ap.add_argument("--seed", type=int, default=Config.seed)
-    ap.add_argument("--max-vars", type=int, default=Config.max_vars)
-    ap.add_argument("--max-constraints", type=int,
-                    default=Config.max_constraints)
+    ap.add_argument("--count", type=int, default=500)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--max-vars", type=int, default=4)
+    ap.add_argument("--max-constraints", type=int, default=3)
     ap.add_argument("--strategy", choices=("focused", "full"),
-                    default=Config.strategy)
-    a = ap.parse_args()
-    return run(Config(a.count, a.seed, a.max_vars, a.max_constraints,
-                      a.strategy))
+                    default="focused")
+    return run(ap.parse_args())
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ strongly normalising, so exhaustive search over successor sets terminates:
 the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
 
-The search takes two shortcuts over the paper's relation (`rewrite.expand`,
-`successors`), both sound because every rule's branch set preserves
-satisfiability: one reducible constraint's branches are a complete choice,
-and the search terminates under any selection once the collapse succeeds.
+The search departs from the paper's relation (`rewrite.expand`,
+`successors`) in three ways.  The two shortcuts are sound because every
+rule's branch set preserves satisfiability: one reducible constraint's
+branches are a complete choice, and the search terminates under any
+selection once the collapse succeeds.
 
 - Committed orientation: of the two branches of `eq x y` (substitute x:=y or
   y:=x in the rest, keeping the equation), only the first is explored.  Each
@@ -20,6 +21,12 @@ and the search terminates under any selection once the collapse succeeds.
   as unit propagation comes before branching in DPLL.  Only a name compared
   with a binder prefix branches: freshness under binders, or an equation of
   two prefixed variables.
+- No memo under focused: only the full strategy, which interleaves the
+  rules of independent constraints, reaches one state by several paths and
+  skips states already seen.  The focused search's old memo hits all came
+  from the two orientations of `eq x y` meeting again.  Termination and
+  completeness never rely on the memo, as the relation is strongly
+  normalising and finitely branching.
 """
 from __future__ import annotations
 
@@ -34,6 +41,7 @@ from .rewrite import (
     SOLVED_ASSIGN,
     SOLVED_FORMS,
     _split_eq,
+    _subst_rest,
     expand,
     has_clash,
     statuses,
@@ -61,7 +69,6 @@ from .schematic import (
 class SolveOptions:
     strategy: str = "focused"     # "focused" or "full"
     budget: int | None = None     # max problems expanded
-    memoize: bool = True
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,7 @@ def _tokens(c: Constraint) -> tuple:
 
 def _canonical_key(p: Problem) -> tuple:
     """Key problems by their multiset of constraints, compared structurally,
-    so that converging branches are explored once.
+    so that the full strategy explores converging branches once.
 
     Within one search the constraints pin down every type that matters
     (variables introduced by narrowing stay pinned by their pattern
@@ -129,12 +136,13 @@ def _branching(env: Env, c: Constraint) -> bool:
 
 def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
     """The branches the search explores for reducible constraint i: all of
-    `expand`'s, but only the first orientation of `eq x y`."""
-    kids = expand(sig, q, i, verify=False)
+    `expand`'s, but only the first orientation of `eq x y` (x ≠ y: `expand`
+    drops `eq x x`)."""
     c = q.constraints[i]
-    if isinstance(c, Eq) and isinstance(c.lhs, Var) and isinstance(c.rhs, Var):
-        return kids[:1]
-    return kids
+    if (isinstance(c, Eq) and isinstance(c.lhs, Var)
+            and isinstance(c.rhs, Var) and c.lhs != c.rhs):
+        return (_subst_rest(q, i, [c], c.lhs.name, c.rhs),)
+    return expand(sig, q, i, verify=False)
 
 
 def decide(sig: Signature, p: Problem,
@@ -158,7 +166,7 @@ def _search(sig: Signature, p: Problem,
             # solved; count each encounter with such a branch as a dead end.
             dead_ends += 1
             continue
-        if options.memoize:
+        if options.strategy == "full":
             k = _canonical_key(q)
             if k in seen:
                 continue

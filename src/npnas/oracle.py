@@ -207,17 +207,10 @@ def brute_sat(sig: Signature, p: Problem, max_size: int = 5, pool: int = 3,
             return OracleResult(sat=True, exact=True, witness=V,
                                 checked=checked)
 
-    exact = True
-    for x, ty in p.env.items():
-        bounds = type_bounds(sig, ty)
-        if bounds is None:
-            exact = False
-            break
-    if exact:
-        need_size = max((type_bounds(sig, ty)[0] for ty in p.env.values()),
-                        default=0)
-        need_pool = sum(type_bounds(sig, ty)[1] for ty in p.env.values())
-        exact = max_size >= need_size and pool >= need_pool
+    bounds = [type_bounds(sig, ty) for ty in p.env.values()]
+    exact = (None not in bounds
+             and max_size >= max((b[0] for b in bounds), default=0)
+             and pool >= sum(b[1] for b in bounds))
     return OracleResult(sat=False, exact=exact, checked=checked)
 
 

@@ -64,34 +64,39 @@ def _split_eq(c: Eq):
 
 
 @memo_on_object
-def is_clash(c: Constraint) -> bool:
-    """Whether c is one of the four clash shapes.  Clashes do not depend on
-    the environment or the other constraints, so this is a cheap pre-check:
+def clash_kind(c: Constraint) -> str | None:
+    """The clash shape of c, or None.  Clashes do not depend on the
+    environment or the other constraints, so this is a cheap pre-check:
     a problem containing a clash constraint can never reach a solved form."""
     if isinstance(c, Fresh):
-        ys, core = abs_prefix(c.target)
-        return not ys and isinstance(core, Var) and core.name == c.var
+        t = c.target
+        self_fresh = isinstance(t, Var) and t.name == c.var
+        return CLASH_SELF_FRESH if self_fresh else None
     xs, bl, ys, br = _split_eq(c)
     if isinstance(bl, Var) != isinstance(br, Var):
         x = bl if isinstance(bl, Var) else br
         t = br if isinstance(bl, Var) else bl
-        return x.name in term_vars(t)
-    return isinstance(bl, SApp) and isinstance(br, SApp) and bl.con != br.con
+        if x.name in term_vars(t):
+            return CLASH_ABS_OCCURS if xs else CLASH_OCCURS
+    elif isinstance(bl, SApp) and isinstance(br, SApp) and bl.con != br.con:
+        return CLASH_CON
+    return None
 
 
 def has_clash(p: Problem) -> bool:
-    return any(map(is_clash, p.constraints))
+    return any(map(clash_kind, p.constraints))
 
 
 def _classify(sig: Signature, env: Env, c: Constraint, in_rest) -> str | None:
     """Normal-form label of c, or None when some rule still applies to it;
     in_rest tells whether a variable occurs in the other constraints."""
+    kind = clash_kind(c)
+    if kind is not None:
+        return kind
     if isinstance(c, Fresh):
         ys, core = abs_prefix(c.target)
         if not isinstance(core, Var) or ys:
             return None
-        if core.name == c.var:
-            return CLASH_SELF_FRESH
         ty = env[core.name]
         if isinstance(ty, NameSortT) and ty != env[c.var]:
             return None  # different name sorts: the constraint is vacuous
@@ -111,16 +116,9 @@ def _classify(sig: Signature, env: Env, c: Constraint, in_rest) -> str | None:
         return SOLVED_ABS_SAME if bl == br else SOLVED_ABS_PAIR
     if isinstance(bl, Var) or isinstance(br, Var):
         x = bl if isinstance(bl, Var) else br
-        t = br if isinstance(bl, Var) else bl
-        if x.name in term_vars(t):
-            return CLASH_ABS_OCCURS if k > 0 else CLASH_OCCURS
-        if k > 0:
-            return None  # narrowing applies
-        if in_rest(x.name):
-            return None  # substitution applies
+        if k > 0 or in_rest(x.name):
+            return None  # narrowing or substitution applies
         return SOLVED_ASSIGN
-    if isinstance(bl, SApp) and isinstance(br, SApp) and bl.con != br.con:
-        return CLASH_CON
     return None
 
 

@@ -58,14 +58,13 @@ def test_budget_exhaustion(sig):
         decide(sig, p, SolveOptions(budget=0))
 
 
-def test_strategies_and_memoization_agree(sig):
+def test_strategies_agree(sig):
     rng = random.Random(41)
     for _ in range(60):
         _, p = random_problem(rng)
         verdicts = {
-            decide(sig, p, SolveOptions(strategy=s, memoize=m)).sat
+            decide(sig, p, SolveOptions(strategy=s)).sat
             for s in ("focused", "full")
-            for m in (True, False)
         }
         assert len(verdicts) == 1, p
 
@@ -189,10 +188,11 @@ def _sampled_states():
 
 def test_committed_orientation_is_one_of_expands_branches(sig):
     env = {"x": TM, "y": TM, "z": TM}
-    p = Problem(env, (Eq(Var("x"), Var("y")),
-                      Eq(Var("x"), Var("z")), Eq(Var("y"), Var("z"))))
-    (kid,) = decider._branches(sig, p, 0)
-    assert kid in expand(sig, p, 0)
+    # `eq x x` is dropped, not substituted: x:=x would return the problem.
+    for c in (Eq(Var("x"), Var("y")), Eq(Var("x"), Var("x"))):
+        p = Problem(env, (c, Eq(Var("x"), Var("z")), Eq(Var("y"), Var("z"))))
+        (kid,) = decider._branches(sig, p, 0)
+        assert kid in expand(sig, p, 0) and kid != p
     committed = 0
     for s, q in _sampled_states():
         for i in reducible_indices(s, q):
@@ -234,8 +234,41 @@ def test_committed_choice_shrinks_the_eu_search():
     assert decide(EU_SIGNATURE, translate_eu(p), SolveOptions(budget=500)).sat
 
 
-def test_ex67_focused_search_is_small():
+def _ex67():
     ex67 = Path(__file__).parent.parent / "problems" / "ex67.eu"
-    p = translate_eu(parse_eu(ex67.read_text()))
-    r = decide(EU_SIGNATURE, p)
+    return translate_eu(parse_eu(ex67.read_text()))
+
+
+def test_ex67_focused_search_is_small():
+    r = decide(EU_SIGNATURE, _ex67())
     assert not r.sat and r.nodes <= 20
+
+
+def test_focused_search_keys_no_state(monkeypatch):
+    # The focused search is a tree: it never computes a memo key.  The full
+    # strategy reaches states by several paths and still keys each one.
+    key = decider._canonical_key
+
+    def no_key(q):
+        raise AssertionError("the focused search computed a memo key")
+
+    monkeypatch.setattr(decider, "_canonical_key", no_key)
+    rng = random.Random(46)
+    nodes = 0
+    for _ in range(200):
+        sig, p = random_problem(rng, 6, 5)
+        nodes += decide(sig, p).nodes
+    rng = random.Random(47)
+    for _ in range(100):
+        p = translate_eu(random_eu_problem(rng))
+        nodes += decide(EU_SIGNATURE, p).nodes
+    nodes += decide(EU_SIGNATURE, _ex67()).nodes
+    assert nodes > 500
+
+    keyed = []
+    monkeypatch.setattr(decider, "_canonical_key",
+                        lambda q: keyed.append(q) or key(q))
+    with pytest.raises(BudgetExhausted):
+        decide(EU_SIGNATURE, _ex67(),
+               SolveOptions(strategy="full", budget=100))
+    assert len(keyed) > 100
