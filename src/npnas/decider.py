@@ -7,7 +7,7 @@ the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
 
 The search departs from the paper's relation (`rewrite.expand`,
-`successors`) in three ways.  The two shortcuts are sound because every
+`successors`) in four ways.  The two shortcuts are sound because every
 rule's branch set preserves satisfiability: one reducible constraint's
 branches are a complete choice, and the search terminates under any
 selection once the collapse succeeds.
@@ -27,23 +27,31 @@ selection once the collapse succeeds.
   from the two orientations of `eq x y` meeting again.  Termination and
   completeness never rely on the memo, as the relation is strongly
   normalising and finitely branching.
+- A store of solved equations: every solved `eq x t` (x isolated) leaves
+  the state as a pair (x, t).  x occurs nowhere else, rules substitute only
+  variables that occur in the rest, and narrowing adds only fresh names, so
+  x never returns: the state is equisatisfiable with what remains, and a
+  memo key may ignore the store.  Each t mentions only variables still
+  present or stored later, so the witness fills the store in reverse order.
+  This is the triangular form of a unifier (Martelli and Montanari, TOPLAS
+  1982).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .errors import BudgetExhausted, NotSolved
-from .foreduce import fo_sat, occurrences
+from .errors import BudgetExhausted, NotSolved, ValidationError
+from .foreduce import fo_sat
 from .kernel import AlphaTree, Name, NameSortT, Signature, canonicalize, inhabitant
 from .rewrite import (
-    SOLVED_ABS_PAIR,
-    SOLVED_ABS_SAME,
     SOLVED_ASSIGN,
     SOLVED_FORMS,
     _split_eq,
     _subst_rest,
     expand,
     has_clash,
+    shared_vars,
     statuses,
 )
 from .schematic import (
@@ -55,12 +63,14 @@ from .schematic import (
     SApp,
     STuple,
     SUnit,
+    Term,
     Valuation,
     Var,
     abs_prefix,
     check_problem,
     instantiate,
     memo_on_object,
+    problem_vars,
     satisfies_all,
 )
 
@@ -111,13 +121,13 @@ def _tokens(c: Constraint) -> tuple:
 
 def _canonical_key(p: Problem) -> tuple:
     """Key problems by their multiset of constraints, compared structurally,
-    so that the full strategy explores converging branches once.
-
-    Within one search the constraints pin down every type that matters
-    (variables introduced by narrowing stay pinned by their pattern
-    equations), so the environment needs no separate fingerprint.
-    """
-    return tuple(sorted(map(_tokens, p.constraints)))
+    and the types of their variables, so that the full strategy explores
+    converging branches once.  Paths that narrow in different orders may
+    give one fresh name different types, and the pattern equations that
+    fix those types are in the store, which the key leaves out."""
+    xs = problem_vars(p)
+    return (tuple(sorted(map(_tokens, p.constraints))),
+            frozenset(zip(xs, map(p.env.__getitem__, xs))))
 
 
 def _branching(env: Env, c: Constraint) -> bool:
@@ -145,8 +155,29 @@ def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
     return expand(sig, q, i, verify=False)
 
 
+def _shelve(sig: Signature, q: Problem):
+    """Move every solved `eq x t` (x isolated) out of q until none is left.
+    Returns what remains, the (x, t) pairs in the order they moved, and the
+    statuses of what remains."""
+    moved: list[tuple[str, Term]] = []
+    while SOLVED_ASSIGN in (st := statuses(sig, q)):
+        shared = shared_vars(q.constraints)
+        rest = []
+        for c, s in zip(q.constraints, st):
+            if s != SOLVED_ASSIGN:
+                rest.append(c)
+            elif isinstance(c.lhs, Var) and c.lhs.name not in shared:
+                moved.append((c.lhs.name, c.rhs))
+            else:
+                moved.append((c.rhs.name, c.lhs))
+        q = Problem(q.env, tuple(rest))
+    return q, tuple(moved), st
+
+
 def decide(sig: Signature, p: Problem,
            options: SolveOptions = SolveOptions()) -> SolveResult:
+    if options.strategy not in ("focused", "full"):
+        raise ValidationError(f"unknown strategy: {options.strategy!r}")
     check_problem(sig, p)
     if not fo_sat(sig, p):
         return SolveResult(sat=False, reason="fo-reduction")
@@ -156,25 +187,34 @@ def decide(sig: Signature, p: Problem,
 def _search(sig: Signature, p: Problem,
             options: SolveOptions) -> SolveResult:
     seen: set = set()
-    stack = [p]
+    full = options.strategy == "full"
+
+    def seen_before(q: Problem) -> bool:
+        k = _canonical_key(q)
+        found = k in seen
+        seen.add(k)
+        return found
+
+    stack: list[tuple[Problem, tuple]] = [(p, ())]
     nodes = 0
     dead_ends = 0
     while stack:
-        q = stack.pop()
+        q, store = stack.pop()
         if has_clash(q):
             # A clash constraint never goes away, so no descendant of q is
             # solved; count each encounter with such a branch as a dead end.
             dead_ends += 1
             continue
-        if options.strategy == "full":
-            k = _canonical_key(q)
-            if k in seen:
-                continue
-            seen.add(k)
-        st = statuses(sig, q)
+        # Under full, skip a seen state before its statuses, and once shelved.
+        if full and seen_before(q):
+            continue
+        q, moved, st = _shelve(sig, q)
+        if moved and full and seen_before(q):
+            continue
+        store += moved
         idx = [i for i, s in enumerate(st) if s is None]
         if not idx:
-            V = extract_witness(sig, q)
+            V = extract_witness(sig, q, store)
             V = {x: V[x] for x in p.env}
             if not satisfies_all(V, p):
                 raise NotSolved("witness fails the input problem")
@@ -183,13 +223,13 @@ def _search(sig: Signature, p: Problem,
         nodes += 1
         if options.budget is not None and nodes > options.budget:
             raise BudgetExhausted(f"expanded more than {options.budget} problems")
-        if options.strategy == "focused":
+        if not full:
             i = next((i for i in idx if not _branching(q.env, q.constraints[i])),
                      idx[0])
             kids = _branches(sig, q, i)
         else:
             kids = tuple(r for i in idx for r in _branches(sig, q, i))
-        stack.extend(reversed(kids))
+        stack.extend((kid, store) for kid in reversed(kids))
     return SolveResult(sat=False, reason="exhausted-normal-forms",
                        nodes=nodes, normal_forms=dead_ends)
 
@@ -197,76 +237,35 @@ def _search(sig: Signature, p: Problem,
 # ---------------------------------------------------------------------------
 # Witness extraction from a solved problem
 
-def extract_witness(sig: Signature, p: Problem) -> Valuation:
-    """A valuation over dom(env) satisfying a solved problem.
+def extract_witness(sig: Signature, p: Problem,
+                    store: tuple[tuple[str, Term], ...] = ()) -> Valuation:
+    """A valuation over dom(env) satisfying a solved problem p and the
+    store of pairs (x, t) the search moved out of it.
 
-    Plan: variables isolated on one side of an equation are computed last
-    from the other side; every remaining name variable gets its own name
-    from a small pool; variables equated under binder prefixes share a
-    value whose free names lie above the pool, which also settles every
-    freshness constraint.
+    Plan: p's own solved `eq x t` (x isolated) join the end of the store,
+    as in the search; every name variable gets its own name from a small
+    pool; every other variable gets one value per type, whose free names lie
+    above the pool, which settles the equations under binder prefixes and
+    every freshness constraint; last, the store is filled in reverse order,
+    each x from its t.
     """
-    labels = statuses(sig, p)
+    _, moved, labels = _shelve(sig, p)
     if not all(s in SOLVED_FORMS for s in labels):
         raise NotSolved(f"not a solved problem: {p}")
     env = p.env
-    occ = occurrences(p)
-
-    # Isolated equation sides, to be back-filled at the end.
-    eliminated: list[tuple[str, object]] = []
-    elim_set: set[str] = set()
-    for c, s in zip(p.constraints, labels):
-        if s != SOLVED_ASSIGN:
-            continue
-        assert isinstance(c, Eq)
-        if isinstance(c.lhs, Var) and occ[c.lhs.name] == 1:
-            eliminated.append((c.lhs.name, c.rhs))
-            elim_set.add(c.lhs.name)
-        else:
-            assert isinstance(c.rhs, Var) and occ[c.rhs.name] == 1
-            eliminated.append((c.rhs.name, c.lhs))
-            elim_set.add(c.rhs.name)
-
-    # Group the body variables of prefixed variable-variable equations.
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c, s in zip(p.constraints, labels):
-        if s in (SOLVED_ABS_PAIR, SOLVED_ABS_SAME):
-            assert isinstance(c, Eq)
-            t = c.lhs
-            while not isinstance(t, Var):
-                t = t.body
-            u = c.rhs
-            while not isinstance(u, Var):
-                u = u.body
-            parent[find(t.name)] = find(u.name)
-
     V: dict[str, AlphaTree] = {}
     pool: dict[str, int] = {}
     start = len(env)  # free names of shared values stay above the pool
-    class_value: dict[str, AlphaTree] = {}
+    value = cache(lambda ty: canonicalize(inhabitant(sig, ty, start)))
     for x in sorted(env):
-        if x in elim_set:
-            continue
         ty = env[x]
         if isinstance(ty, NameSortT):
             i = pool.get(ty.sort, 0)
             pool[ty.sort] = i + 1
             V[x] = AlphaTree(Name(ty.sort, i))
         else:
-            root = find(x)
-            if root not in class_value:
-                class_value[root] = canonicalize(inhabitant(sig, ty, start))
-            V[x] = class_value[root]
-
-    for x, t in eliminated:
+            V[x] = value(ty)
+    for x, t in reversed(store + moved):
         V[x] = instantiate(V, t)
 
     if not satisfies_all(V, p):

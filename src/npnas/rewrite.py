@@ -293,19 +293,21 @@ def expand(sig: Signature, p: Problem, i: int,
     return _expand_eq(sig, p, i, c)
 
 
-def statuses(sig: Signature, p: Problem) -> tuple[str | None, ...]:
-    """Normal-form labels of all constraints, computed in one pass.
+def shared_vars(cs: tuple[Constraint, ...]) -> set[str]:
+    """The variables that occur in at least two of the constraints cs: in
+    the rest, for any one constraint that mentions them."""
+    seen: set[str] = set()
+    shared: set[str] = set()
+    for c in cs:
+        shared |= seen & constraint_vars(c)
+        seen |= constraint_vars(c)
+    return shared
 
-    _classify only asks about variables of the constraint under scrutiny,
-    so "occurs in the rest" is "occurs in at least two constraints".
-    """
-    presence: dict[str, int] = {}
-    for c in p.constraints:
-        for x in constraint_vars(c):
-            presence[x] = presence.get(x, 0) + 1
-    multi = frozenset(x for x, n in presence.items() if n >= 2)
-    return tuple(_classify(sig, p.env, c, multi.__contains__)
-                 for c in p.constraints)
+
+def statuses(sig: Signature, p: Problem) -> tuple[str | None, ...]:
+    """Normal-form labels of all constraints, computed in one pass."""
+    shared = shared_vars(p.constraints).__contains__
+    return tuple(_classify(sig, p.env, c, shared) for c in p.constraints)
 
 
 def reducible_indices(sig: Signature, p: Problem) -> tuple[int, ...]:

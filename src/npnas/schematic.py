@@ -185,10 +185,7 @@ class Problem:
 
 
 def problem_vars(p: Problem) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for c in p.constraints:
-        out |= constraint_vars(c)
-    return out
+    return frozenset().union(*map(constraint_vars, p.constraints))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ import pytest
 from npnas import decider
 from npnas.cli import parse_eu
 from npnas.decider import SolveOptions, _canonical_key, decide, extract_witness
-from npnas.errors import BudgetExhausted, IllFormedProblem, NotSolved
+from npnas.errors import (
+    BudgetExhausted, IllFormedProblem, NotSolved, ValidationError)
 from npnas.eubridge import EU_SIGNATURE, translate_eu
 from npnas.kernel import UNIT_T, AlphaTree, DataSortT, Name, NameSortT, make_signature
 from npnas.oracle import brute_sat, random_eu_problem, random_problem
-from npnas.rewrite import expand, reducible_indices, successors
-from npnas.schematic import Eq, Fresh, Problem, SAbs, SApp, SUNIT, Var, satisfies_all
+from npnas.rewrite import (
+    SOLVED_ASSIGN, expand, reducible_indices, statuses, successors)
+from npnas.schematic import (
+    Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var, satisfies_all)
 
 NM = NameSortT("nm")
 TM = DataSortT("tm")
@@ -47,6 +50,14 @@ def test_unsat_by_exhaustion(sig):
 def test_ill_formed_problem_rejected(sig):
     with pytest.raises(IllFormedProblem):
         decide(sig, Problem({"a": NM}, (Eq(Var("a"), Var("zz")),)))
+
+
+def test_unknown_strategy_rejected(sig):
+    # A misspelt strategy once ran the full search without its memo.
+    p = Problem({"a": NM, "b": NM}, (Fresh("a", Var("b")),))
+    for strategy in ("focussed", "Full", ""):
+        with pytest.raises(ValidationError):
+            decide(sig, p, SolveOptions(strategy=strategy))
 
 
 def test_budget_exhaustion(sig):
@@ -105,7 +116,7 @@ def test_search_rejects_a_witness_that_fails(sig, monkeypatch):
     p = Problem({"a": NM, "b": NM}, (Fresh("a", Var("b")),))
     same = AlphaTree(Name("nm", 0))
     monkeypatch.setattr(decider, "extract_witness",
-                        lambda sig, q: {"a": same, "b": same})
+                        lambda sig, q, store: {"a": same, "b": same})
     with pytest.raises(NotSolved):
         decide(sig, p)
 
@@ -120,6 +131,17 @@ def test_extract_witness_on_solved_forms(sig):
     assert V["x"] == V["y"]
     # distinct name variables receive distinct pool names
     assert V["a"] != V["b"]
+
+
+def test_extract_witness_fills_the_store_in_reverse(sig):
+    # The first pair's t mentions the second pair's x, so x is computed
+    # after y; the solved problem itself is empty.
+    env = {"a": NM, "x": TM, "y": TM}
+    t_x = SApp("L", SAbs("a", Var("y")))
+    t_y = SApp("V", Var("a"))
+    V = extract_witness(sig, Problem(env, ()), (("x", t_x), ("y", t_y)))
+    assert satisfies_all(V, Problem(env, (Eq(Var("x"), t_x),
+                                          Eq(Var("y"), t_y))))
 
 
 def test_shared_values_avoid_the_name_pool(sig):
@@ -151,15 +173,55 @@ def test_search_keeps_no_input_alive(sig):
     assert ref() is None
 
 
+def _deep_term(depth):
+    """`depth` constructor levels, alternating L over an abstraction and P
+    over a pair, around the name b."""
+    t = SApp("V", Var("b"))
+    for i in range(depth):
+        t = (SApp("L", SAbs("b", t)) if i % 2 == 0
+             else SApp("P", STuple((t, SApp("Z", SUNIT)))))
+    return t
+
+
+def test_solved_equations_leave_the_search_state(sig, monkeypatch):
+    # Narrowing x keeps `eq x pattern`, solved at once; it moves to the
+    # store instead of being substituted into again at every later step.
+    p = Problem({"a": NM, "b": NM, "x": TM},
+                (Eq(SAbs("a", Var("x")), SAbs("b", _deep_term(40))),))
+    expanded = []
+    branches = decider._branches
+
+    def record(s, q, i):
+        expanded.append(q)
+        return branches(s, q, i)
+
+    monkeypatch.setattr(decider, "_branches", record)
+    r = decide(sig, p)
+    assert r.sat and satisfies_all(r.witness, p)
+    assert len(expanded) > 100
+    for q in expanded:
+        assert SOLVED_ASSIGN not in statuses(sig, q), q
+    assert max(len(q.constraints) for q in expanded) < 40
+
+
 def test_memo_key_is_structural():
     # Both render as "(eq a b c)"; the key must still tell them apart.
-    p = Problem({}, (Eq(Var("a b"), Var("c")),))
-    q = Problem({}, (Eq(Var("a"), Var("b c")),))
+    env = {"a b": TM, "c": TM, "a": TM, "b c": TM}
+    p = Problem(env, (Eq(Var("a b"), Var("c")),))
+    q = Problem(env, (Eq(Var("a"), Var("b c")),))
     assert str(p) == str(q)
     assert _canonical_key(p) != _canonical_key(q)
-    swapped = Problem({}, (Fresh("a", Var("b")), Eq(Var("x"), Var("y"))))
+    env = {"a": NM, "b": NM, "x": TM, "y": TM}
+    swapped = Problem(env, (Fresh("a", Var("b")), Eq(Var("x"), Var("y"))))
     assert _canonical_key(swapped) == _canonical_key(
-        Problem({}, swapped.constraints[::-1]))
+        Problem(env, swapped.constraints[::-1]))
+
+
+def test_memo_key_tells_types_apart():
+    # One constraint under two typings of its variables is two problems.
+    c = Fresh("a", Var("x"))
+    assert _canonical_key(Problem({"a": NM, "x": TM}, (c,))) != _canonical_key(
+        Problem({"a": NM, "x": NM}, (c,)))
 
 
 # ---------------------------------------------------------------------------
