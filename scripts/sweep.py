@@ -11,10 +11,13 @@ its node counts and its witnesses:
 The families: 1,200 `random_problem` at the defaults, 1,200 at six
 variables and five constraints, and 600 translated `random_eu_problem`,
 each family from its own `random.Random(7)`; budget 5,000 nodes a solve.
+The `random_problem` families are rendered as problem files and read back
+(`parse_problem(format_problem(sig, p))`), so the sweep covers the reader.
 """
 import random
 import sys
 
+from npnas.cli import format_problem, parse_problem
 from npnas.decider import SolveOptions, decide
 from npnas.errors import BudgetExhausted
 from npnas.eubridge import EU_SIGNATURE, translate_eu
@@ -29,10 +32,11 @@ STRATEGIES = ("focused", "full")
 def families():
     rng = random.Random(7)
     for i in range(1200):
-        yield ("np", i, *random_problem(rng))
+        yield ("np", i, *parse_problem(format_problem(*random_problem(rng))))
     rng = random.Random(7)
     for i in range(1200):
-        yield ("np65", i, *random_problem(rng, 6, 5))
+        yield ("np65", i,
+               *parse_problem(format_problem(*random_problem(rng, 6, 5))))
     rng = random.Random(7)
     for i in range(600):
         yield ("eu", i, EU_SIGNATURE, translate_eu(random_eu_problem(rng)))

@@ -30,7 +30,7 @@ import argparse
 import re
 import sys
 import traceback
-from dataclasses import dataclass
+from itertools import islice
 
 from . import eubridge
 from .decider import SolveOptions, decide
@@ -71,71 +71,92 @@ from .schematic import (
 # ---------------------------------------------------------------------------
 # Reading s-expressions
 
-@dataclass(frozen=True)
-class Atom:
-    value: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class SList:
-    items: tuple
-    line: int
-    col: int
-
-
 # Only space, tab, carriage return and newline separate atoms (a form feed is
-# part of one); newlines are matched so that lines can be counted.
-_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*|\n")
+# part of one); a comment runs to the end of its line.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The 1-based line and column of token `index` of text, found by
+    scanning the text again; a tab or carriage return counts as one
+    column."""
+    at = next(islice(_TOKEN.finditer(text), index, None)).start()
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+class _Node:
+    """A node keeps the text it was read from and the index of its first
+    token; its position is worked out only when asked for, which in
+    practice means for an error message."""
+    __slots__ = ("index", "text")
+
+    @property
+    def line(self) -> int:
+        return _position(self.text, self.index)[0]
+
+    @property
+    def col(self) -> int:
+        return _position(self.text, self.index)[1]
+
+    def error(self, message: str) -> SourceSyntaxError:
+        return SourceSyntaxError(message, *_position(self.text, self.index))
+
+
+class Atom(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str, index: int, text: str):
+        self.value = value
+        self.index = index
+        self.text = text
+
+
+class SList(_Node):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple, index: int, text: str):
+        self.items = items
+        self.index = index
+        self.text = text
 
 
 def parse_sexprs(text: str) -> list:
     stack: list[list] = []
-    marks: list[tuple[int, int]] = []
+    opens: list[int] = []
     top: list = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok == "\n":
-            line += 1
-            line_start = m.end()
-            continue
-        if tok[0] == ";":
-            continue
-        col = m.start() - line_start + 1
+    for i, tok in enumerate(_TOKEN.findall(text)):
         if tok == "(":
             stack.append(top)
-            marks.append((line, col))
+            opens.append(i)
             top = []
         elif tok == ")":
             if not stack:
-                raise SourceSyntaxError("unmatched ')'", line, col)
-            done = SList(tuple(top), *marks.pop())
+                raise SourceSyntaxError("unmatched ')'", *_position(text, i))
+            done = SList(tuple(top), opens.pop(), text)
             top = stack.pop()
             top.append(done)
-        else:
-            top.append(Atom(tok, line, col))
+        elif tok[0] != ";":
+            top.append(Atom(tok, i, text))
     if stack:
-        raise SourceSyntaxError("unclosed '('", *marks[-1])
+        raise SourceSyntaxError("unclosed '('", *_position(text, opens[-1]))
     return top
 
 
 def _want_atom(sx, what: str) -> str:
     if not isinstance(sx, Atom):
-        raise SourceSyntaxError(f"expected {what}", sx.line, sx.col)
+        raise sx.error(f"expected {what}")
     return sx.value
 
 
 def _want_list(sx, what: str) -> SList:
     if not isinstance(sx, SList):
-        raise SourceSyntaxError(f"expected {what}", sx.line, sx.col)
+        raise sx.error(f"expected {what}")
     return sx
 
 
 def _head(sx: SList) -> str:
     if not sx.items or not isinstance(sx.items[0], Atom):
-        raise SourceSyntaxError("expected a keyword after '('", sx.line, sx.col)
+        raise sx.error("expected a keyword after '('")
     return sx.items[0].value
 
 
@@ -146,7 +167,7 @@ def parse_type(sx) -> Type:
     if isinstance(sx, Atom):
         if sx.value == "unit":
             return UNIT_T
-        raise SourceSyntaxError(f"unknown type {sx.value}", sx.line, sx.col)
+        raise sx.error(f"unknown type {sx.value}")
     match _head(sx), len(sx.items):
         case "name", 2:
             return NameSortT(_want_atom(sx.items[1], "a sort name"))
@@ -155,13 +176,12 @@ def parse_type(sx) -> Type:
         case "abs", 3:
             binder = _want_list(sx.items[1], "(name SYM)")
             if _head(binder) != "name" or len(binder.items) != 2:
-                raise SourceSyntaxError("binder type must be (name SYM)",
-                                        binder.line, binder.col)
+                raise binder.error("binder type must be (name SYM)")
             return AbsT(_want_atom(binder.items[1], "a sort name"),
                         parse_type(sx.items[2]))
         case "pair", n if n >= 3:
             return TupleT(tuple(parse_type(t) for t in sx.items[1:]))
-    raise SourceSyntaxError("malformed type", sx.line, sx.col)
+    raise sx.error("malformed type")
 
 
 def parse_term(sx) -> Term:
@@ -176,7 +196,7 @@ def parse_term(sx) -> Term:
                         parse_term(sx.items[2]))
         case "tuple", n if n >= 3:
             return STuple(tuple(parse_term(t) for t in sx.items[1:]))
-    raise SourceSyntaxError("malformed term", sx.line, sx.col)
+    raise sx.error("malformed term")
 
 
 def parse_constraint(sx):
@@ -187,7 +207,7 @@ def parse_constraint(sx):
         case "fresh", 3:
             return Fresh(_want_atom(sx.items[1], "a variable"),
                          parse_term(sx.items[2]))
-    raise SourceSyntaxError("malformed constraint", sx.line, sx.col)
+    raise sx.error("malformed constraint")
 
 
 def parse_problem(text: str) -> tuple[Signature, Problem]:
@@ -216,23 +236,20 @@ def parse_problem(text: str) -> tuple[Signature, Problem]:
                             cons[k] = (parse_type(item.items[2]),
                                        _want_atom(item.items[3], "a sort name"))
                         case _:
-                            raise SourceSyntaxError("malformed signature entry",
-                                                    item.line, item.col)
+                            raise item.error("malformed signature entry")
             case "vars":
                 saw_vars = True
                 for item in form.items[1:]:
                     item = _want_list(item, "a variable declaration")
                     if len(item.items) != 2:
-                        raise SourceSyntaxError("expected (SYM TYPE)",
-                                                item.line, item.col)
+                        raise item.error("expected (SYM TYPE)")
                     env[_want_atom(item.items[0], "a variable")] = \
                         parse_type(item.items[1])
             case "constraints":
                 saw_cs = True
                 constraints.extend(parse_constraint(c) for c in form.items[1:])
             case other:
-                raise SourceSyntaxError(f"unknown form {other}",
-                                        form.line, form.col)
+                raise form.error(f"unknown form {other}")
     if not (saw_sig and saw_vars and saw_cs):
         raise SourceSyntaxError(
             "a problem needs signature, vars and constraints forms", 1, 1)
@@ -269,7 +286,7 @@ def parse_nt(sx) -> eubridge.NameTerm:
         return eubridge.Vertex(sx.value)
     if _head(sx) == "app" and len(sx.items) == 3:
         return eubridge.Susp(parse_perm(sx.items[1]), parse_nt(sx.items[2]))
-    raise SourceSyntaxError("malformed name-term", sx.line, sx.col)
+    raise sx.error("malformed name-term")
 
 
 def parse_perm(sx) -> eubridge.Perm:
@@ -277,7 +294,7 @@ def parse_perm(sx) -> eubridge.Perm:
         return eubridge.PIdent() if sx.value == "id" else eubridge.PVar(sx.value)
     if _head(sx) == "swap" and len(sx.items) == 3:
         return eubridge.PSwap(parse_nt(sx.items[1]), parse_nt(sx.items[2]))
-    raise SourceSyntaxError("malformed permutation", sx.line, sx.col)
+    raise sx.error("malformed permutation")
 
 
 def parse_eu(text: str) -> eubridge.EUProblem:
@@ -286,7 +303,7 @@ def parse_eu(text: str) -> eubridge.EUProblem:
         raise SourceSyntaxError("expected a single (eu ...) form", 1, 1)
     form = _want_list(forms[0], "(eu ...)")
     if _head(form) != "eu":
-        raise SourceSyntaxError("expected (eu ...)", form.line, form.col)
+        raise form.error("expected (eu ...)")
     names: tuple[str, ...] = ()
     name_vars: tuple[str, ...] = ()
     perm_vars: tuple[str, ...] = ()
@@ -315,11 +332,9 @@ def parse_eu(text: str) -> eubridge.EUProblem:
                                 eubridge.EUFresh(parse_nt(c.items[1]),
                                                  parse_nt(c.items[2])))
                         case _:
-                            raise SourceSyntaxError("malformed constraint",
-                                                    c.line, c.col)
+                            raise c.error("malformed constraint")
             case other:
-                raise SourceSyntaxError(f"unknown eu section {other}",
-                                        part.line, part.col)
+                raise part.error(f"unknown eu section {other}")
     p = eubridge.EUProblem(names, name_vars, perm_vars, tuple(constraints))
     eubridge.validate_eu(p)
     return p

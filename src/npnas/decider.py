@@ -119,15 +119,21 @@ def _tokens(c: Constraint) -> tuple:
     return tuple(out)
 
 
-def _canonical_key(p: Problem) -> tuple:
+def _canonical_key(p: Problem, base: Env | None = None) -> tuple:
     """Key problems by their multiset of constraints, compared structurally,
     and the types of their variables, so that the full strategy explores
     converging branches once.  Paths that narrow in different orders may
     give one fresh name different types, and the pattern equations that
-    fix those types are in the store, which the key leaves out."""
-    xs = problem_vars(p)
-    return (tuple(sorted(map(_tokens, p.constraints))),
-            frozenset(zip(xs, map(p.env.__getitem__, xs))))
+    fix those types are in the store, which the key leaves out.
+
+    `base` is the input's environment.  Its variables keep their types for
+    the whole search, so given `base` the types part lists only the
+    variables narrowing added, and is empty while p.env has not grown."""
+    cs = tuple(sorted(map(_tokens, p.constraints)))
+    if base is not None and len(p.env) <= len(base):
+        return cs, frozenset()
+    xs = problem_vars(p).difference(base or ())
+    return cs, frozenset(zip(xs, map(p.env.__getitem__, xs)))
 
 
 def _branching(env: Env, c: Constraint) -> bool:
@@ -190,7 +196,7 @@ def _search(sig: Signature, p: Problem,
     full = options.strategy == "full"
 
     def seen_before(q: Problem) -> bool:
-        k = _canonical_key(q)
+        k = _canonical_key(q, p.env)
         found = k in seen
         seen.add(k)
         return found

@@ -311,7 +311,7 @@ def test_focused_search_keys_no_state(monkeypatch):
     # strategy reaches states by several paths and still keys each one.
     key = decider._canonical_key
 
-    def no_key(q):
+    def no_key(*args):
         raise AssertionError("the focused search computed a memo key")
 
     monkeypatch.setattr(decider, "_canonical_key", no_key)
@@ -329,8 +329,34 @@ def test_focused_search_keys_no_state(monkeypatch):
 
     keyed = []
     monkeypatch.setattr(decider, "_canonical_key",
-                        lambda q: keyed.append(q) or key(q))
+                        lambda q, *args: keyed.append(q) or key(q, *args))
     with pytest.raises(BudgetExhausted):
         decide(EU_SIGNATURE, _ex67(),
                SolveOptions(strategy="full", budget=100))
     assert len(keyed) > 100
+
+
+def test_full_memo_key_types_only_what_narrowing_added(sig, monkeypatch):
+    # The input's variables keep their types, so the full search's key lists
+    # types only once narrowing has added a name: never for a translated EU
+    # problem, which does not narrow.
+    key = decider._canonical_key
+    typed = []
+
+    def record(q, *args):
+        k = key(q, *args)
+        typed.append(bool(k[1]))
+        return k
+
+    monkeypatch.setattr(decider, "_canonical_key", record)
+    with pytest.raises(BudgetExhausted):
+        decide(EU_SIGNATURE, _ex67(), SolveOptions(strategy="full", budget=100))
+    assert len(typed) > 100 and not any(typed)
+
+    typed.clear()
+    p = Problem({"a": NM, "b": NM, "x": TM},
+                (Eq(SAbs("a", Var("x")),
+                    SAbs("b", SApp("L", SAbs("a", SApp("V", Var("b")))))),))
+    r = decide(sig, p, SolveOptions(strategy="full"))
+    assert r.sat and satisfies_all(r.witness, p)
+    assert any(typed)

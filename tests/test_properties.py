@@ -1,8 +1,14 @@
-"""Randomized algebraic properties of the ground-tree kernel, and
-metamorphic properties of the decision procedure."""
+"""Randomized algebraic properties of the ground-tree kernel, metamorphic
+properties of the decision procedure, and properties of the reader."""
+import contextlib
+import io
 import random
+import re
+import tempfile
 from functools import reduce
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from npnas.kernel import (
@@ -19,8 +25,11 @@ from npnas.kernel import (
     realize,
     swap,
 )
+from npnas.cli import (
+    Atom, SList, format_problem, main, parse_eu, parse_problem, parse_sexprs)
 from npnas.decider import decide
-from npnas.oracle import random_problem
+from npnas.errors import NpnasError, SourceSyntaxError
+from npnas.oracle import random_eu_problem, random_problem
 from npnas.schematic import (
     Eq, Fresh, Problem, SAbs, SApp, STuple, Var, satisfies_all)
 
@@ -103,3 +112,139 @@ def test_verdict_ignores_names_order_and_duplicates(seed, rnd):
     assert r.sat == decide(sig, p).sat
     if r.sat:
         assert satisfies_all(r.witness, q)
+
+
+# ---------------------------------------------------------------------------
+# The reader
+
+def _reference_tokens(text):
+    """(token, offset) for each parenthesis and atom of text, by a scan
+    character by character: only space, tab, CR and newline separate atoms,
+    and `;` starts a comment that runs to the end of its line."""
+    out, i = [], 0
+    while i < len(text):
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+        elif ch == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            out.append((ch, i))
+            i += 1
+        else:
+            j = i
+            while j < len(text) and text[j] not in " \t\r\n();":
+                j += 1
+            out.append((text[i:j], i))
+            i = j
+    return out
+
+
+def _position(text, offset):
+    """1-based line and column; a tab or CR is one column like any other."""
+    line = text.count("\n", 0, offset) + 1
+    return line, offset - (text.rfind("\n", 0, offset) + 1) + 1
+
+
+def _preorder(forms):
+    """Each node of forms in the order of its first token."""
+    stack = list(reversed(forms))
+    while stack:
+        sx = stack.pop()
+        yield sx
+        if isinstance(sx, SList):
+            stack.extend(reversed(sx.items))
+
+
+# Parentheses, atoms, comments, every separator, and a form feed and a
+# non-ASCII letter, which are parts of atoms.
+_reader_texts = st.text(alphabet="()ab; \t\r\n\x0c xé", max_size=60)
+
+
+@given(_reader_texts)
+@settings(max_examples=500)
+def test_reader_positions_match_token_offsets(text):
+    expected, opens, error = [], [], None
+    for tok, at in _reference_tokens(text):
+        if tok == ")":
+            if not opens:
+                error = ("unmatched ')'", _position(text, at))
+                break
+            opens.pop()
+            continue
+        if tok == "(":
+            opens.append(at)
+        expected.append((tok, _position(text, at)))
+    if error is None and opens:
+        error = ("unclosed '('", _position(text, opens[-1]))
+    if error is not None:
+        with pytest.raises(SourceSyntaxError) as e:
+            parse_sexprs(text)
+        assert (str(e.value).split(": ", 1)[1],
+                (e.value.line, e.value.column)) == error
+        return
+    got = [(sx.value if isinstance(sx, Atom) else "(", (sx.line, sx.col))
+           for sx in _preorder(parse_sexprs(text))]
+    assert got == expected
+
+
+def _valid_texts():
+    rng = random.Random(48)
+    texts = [format_problem(*random_problem(rng)) for _ in range(20)]
+    for _ in range(20):
+        p = random_eu_problem(rng)
+        texts.append(f"(eu (names {' '.join(p.names)}) "
+                     f"(name-vars {' '.join(p.name_vars)}) "
+                     f"(perm-vars {' '.join(p.perm_vars)}) "
+                     f"(constraints {' '.join(map(str, p.constraints))}))")
+    return texts
+
+
+_VALID = _valid_texts()
+_WORDS = ("(", ")", "()", "signature", "name-sort", "data-sort", "con",
+          "vars", "constraints", "name", "data", "abs", "pair", "unit",
+          "tuple", "eq", "fresh", "eu", "names", "name-vars", "perm-vars",
+          "app", "swap", "id", "nm", "tm", "L", "Z", "a0", "x0", "A0", "c0",
+          "Q")
+
+
+@st.composite
+def _edited(draw):
+    """A valid .np or .eu text with up to three tokens deleted, replaced or
+    inserted."""
+    toks = re.findall(r"[()]|[^\s()]+", draw(st.sampled_from(_VALID)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(toks)))
+        toks[i:i + draw(st.integers(0, 1))] = draw(
+            st.sampled_from(([], [draw(st.sampled_from(_WORDS))])))
+    return " ".join(toks)
+
+
+# Arbitrary text, words of both formats, and edited valid files, which get
+# past the reader to the checks behind it.  Nesting past the recursion limit
+# is a resource limit (exit 3), tested in tests/test_cli.py.
+_texts = st.one_of(
+    st.text(max_size=80),
+    _reader_texts,
+    st.lists(st.sampled_from(_WORDS + (";", "\n")), max_size=40).map(" ".join),
+    _edited())
+
+
+@given(_texts)
+@settings(max_examples=250, deadline=None)
+def test_arbitrary_text_is_accepted_or_an_input_error(text):
+    for parse in (parse_problem, parse_eu):
+        try:
+            parse(text)
+        except NpnasError:
+            pass
+    with tempfile.TemporaryDirectory() as d:
+        for name in ("input.np", "input.eu"):
+            path = Path(d) / name
+            path.write_text(text, encoding="utf-8", newline="")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", str(path)])
+            assert code in (0, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()
