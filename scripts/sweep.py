@@ -2,11 +2,17 @@
 """Solve a fixed, seeded set of problems under both strategies and print
 one line per solve: verdict, reason, nodes, normal forms and witness.
 
-Every witness is re-checked against its problem.  Run it at two commits and
-diff the outputs to see whether a change to the solver keeps its verdicts,
-its node counts and its witnesses:
+Every witness is re-checked against its problem, and every verdict is
+compared with a brute-force oracle where one is cheap and exact: `brute_sat`
+for the `np` family, where its answer is exact or sat, and `eu_brute_sat`
+for the `eu` family.  Run it at two commits and diff the outputs to see
+whether a change to the solver keeps its verdicts, its node counts and its
+witnesses:
 
     PYTHONPATH=src python scripts/sweep.py > after.txt
+
+The counts of bad witnesses and oracle disagreements go to stderr, and the
+exit code is 1 when either is not zero.
 
 The families: 1,200 `random_problem` at the defaults, 1,200 at six
 variables and five constraints, and 600 translated `random_eu_problem`,
@@ -20,9 +26,9 @@ import sys
 from npnas.cli import format_problem, parse_problem
 from npnas.decider import SolveOptions, decide
 from npnas.errors import BudgetExhausted
-from npnas.eubridge import EU_SIGNATURE, translate_eu
+from npnas.eubridge import EU_SIGNATURE, eu_brute_sat, translate_eu
 from npnas.kernel import realize
-from npnas.oracle import random_eu_problem, random_problem
+from npnas.oracle import brute_sat, random_eu_problem, random_problem
 from npnas.schematic import satisfies_all
 
 BUDGET = 5000
@@ -30,21 +36,27 @@ STRATEGIES = ("focused", "full")
 
 
 def families():
+    """(family, index, signature, problem, the oracle's verdict or None)."""
     rng = random.Random(7)
     for i in range(1200):
-        yield ("np", i, *parse_problem(format_problem(*random_problem(rng))))
+        sig, p = parse_problem(format_problem(*random_problem(rng)))
+        res = brute_sat(sig, p)
+        yield "np", i, sig, p, res.sat if res.exact or res.sat else None
     rng = random.Random(7)
     for i in range(1200):
+        # No oracle: brute_sat takes about a minute over this family.
         yield ("np65", i,
-               *parse_problem(format_problem(*random_problem(rng, 6, 5))))
+               *parse_problem(format_problem(*random_problem(rng, 6, 5))),
+               None)
     rng = random.Random(7)
     for i in range(600):
-        yield ("eu", i, EU_SIGNATURE, translate_eu(random_eu_problem(rng)))
+        ep = random_eu_problem(rng)
+        yield "eu", i, EU_SIGNATURE, translate_eu(ep), eu_brute_sat(ep)
 
 
 def main() -> int:
-    bad = 0
-    for family, i, sig, p in families():
+    bad = disagreements = 0
+    for family, i, sig, p, expected in families():
         for strategy in STRATEGIES:
             head = f"{family} {i} {strategy}"
             try:
@@ -61,9 +73,14 @@ def main() -> int:
                 if not satisfies_all(r.witness, p):
                     bad += 1
                     line += " BAD-WITNESS"
+            if expected is not None and r.sat != expected:
+                disagreements += 1
+                print(f"{head}: the oracle says "
+                      f"{'sat' if expected else 'unsat'}", file=sys.stderr)
             print(line)
     print(f"bad witnesses: {bad}", file=sys.stderr)
-    return 1 if bad else 0
+    print(f"oracle disagreements: {disagreements}", file=sys.stderr)
+    return 1 if bad or disagreements else 0
 
 
 if __name__ == "__main__":

@@ -233,6 +233,8 @@ def parse_problem(text: str) -> tuple[Signature, Problem]:
                                 _want_atom(item.items[1], "a sort name"))
                         case "con", 4:
                             k = _want_atom(item.items[1], "a constructor name")
+                            if k in cons:
+                                raise item.error(f"constructor {k} declared twice")
                             cons[k] = (parse_type(item.items[2]),
                                        _want_atom(item.items[3], "a sort name"))
                         case _:
@@ -243,8 +245,10 @@ def parse_problem(text: str) -> tuple[Signature, Problem]:
                     item = _want_list(item, "a variable declaration")
                     if len(item.items) != 2:
                         raise item.error("expected (SYM TYPE)")
-                    env[_want_atom(item.items[0], "a variable")] = \
-                        parse_type(item.items[1])
+                    x = _want_atom(item.items[0], "a variable")
+                    if x in env:
+                        raise item.error(f"variable {x} declared twice")
+                    env[x] = parse_type(item.items[1])
             case "constraints":
                 saw_cs = True
                 constraints.extend(parse_constraint(c) for c in form.items[1:])

@@ -161,13 +161,13 @@ def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
     return expand(sig, q, i, verify=False)
 
 
-def _shelve(sig: Signature, q: Problem):
+def _shelve(q: Problem):
     """Move every solved `eq x t` (x isolated) out of q until none is left.
     Returns what remains, the (x, t) pairs in the order they moved, and the
     statuses of what remains."""
     moved: list[tuple[str, Term]] = []
-    while SOLVED_ASSIGN in (st := statuses(sig, q)):
-        shared = shared_vars(q.constraints)
+    while SOLVED_ASSIGN in (st := statuses(q)):
+        shared = shared_vars(q)
         rest = []
         for c, s in zip(q.constraints, st):
             if s != SOLVED_ASSIGN:
@@ -214,7 +214,7 @@ def _search(sig: Signature, p: Problem,
         # Under full, skip a seen state before its statuses, and once shelved.
         if full and seen_before(q):
             continue
-        q, moved, st = _shelve(sig, q)
+        q, moved, st = _shelve(q)
         if moved and full and seen_before(q):
             continue
         store += moved
@@ -255,7 +255,7 @@ def extract_witness(sig: Signature, p: Problem,
     every freshness constraint; last, the store is filled in reverse order,
     each x from its t.
     """
-    _, moved, labels = _shelve(sig, p)
+    _, moved, labels = _shelve(p)
     if not all(s in SOLVED_FORMS for s in labels):
         raise NotSolved(f"not a solved problem: {p}")
     env = p.env

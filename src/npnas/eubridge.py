@@ -8,7 +8,9 @@ two name-terms.  Constraints equate name-terms or demand they differ
 
 The reduction introduces one solver variable per vertex and one per
 (permutation variable, vertex) application, plus temporaries for swap
-results.  Two gadget equations do the semantic work:
+results.  An application of Q to v is named Q.v and the K-th temporary _wK,
+with primes added while a declared symbol or an earlier generated variable
+has the name.  Two gadget equations do the semantic work:
 
 * swap gadget   <x><y>w = <y><x>u    forces  u = (x y)(w)
 * bijection gadget  <x><y>(x,y) = <x'><y'>(x',y')  forces  x=y iff x'=y'
@@ -161,37 +163,37 @@ def bij_gadget(x: str, y: str, x2: str, y2: str) -> Eq:
 
 @dataclass
 class _Translator:
-    env: dict[str, NameSortT] = field(default_factory=dict)
+    taken: set[str]                  # every declared or generated symbol
+    env: dict[str, NameSortT]
     out: list = field(default_factory=list)
-    applications: dict[str, list[str]] = field(default_factory=dict)
+    images: dict[str, dict[str, str]] = field(default_factory=dict)
     temps: int = 0
 
-    def declare(self, x: str) -> str:
-        self.env.setdefault(x, NameSortT(ATOM_SORT))
+    def generate(self, x: str) -> str:
+        """A new solver variable: x, primed until no symbol has the name."""
+        while x in self.taken:
+            x += "'"
+        self.taken.add(x)
+        self.env[x] = NameSortT(ATOM_SORT)
         return x
-
-    def fresh_temp(self) -> str:
-        x = f"_w{self.temps}"
-        self.temps += 1
-        return self.declare(x)
 
     def trans(self, nt: NameTerm) -> str:
         if isinstance(nt, Vertex):
-            return self.declare(nt.sym)
+            return nt.sym
         perm = nt.perm
         if isinstance(perm, PIdent):
-            return self.declare(nt.target.sym)
+            return nt.target.sym
         if isinstance(perm, PVar):
             v = nt.target.sym
-            sites = self.applications.setdefault(perm.sym, [])
+            sites = self.images.setdefault(perm.sym, {})
             if v not in sites:
-                sites.append(v)
-            self.declare(v)
-            return self.declare(pvvar(perm.sym, v))
+                sites[v] = self.generate(pvvar(perm.sym, v))
+            return sites[v]
         x = self.trans(perm.a)
         y = self.trans(perm.b)
         w = self.trans(nt.target)
-        u = self.fresh_temp()
+        u = self.generate(f"_w{self.temps}")
+        self.temps += 1
         self.out.append(swap_gadget(x, y, u, w))
         return u
 
@@ -200,9 +202,9 @@ def translate_eu(p: EUProblem) -> Problem:
     """The constraint problem equisatisfiable with the equivariant
     unification problem p; its witnesses restrict to solutions of p."""
     validate_eu(p)
-    tr = _Translator()
-    for v in p.names + p.name_vars:
-        tr.declare(v)
+    vertices = p.names + p.name_vars
+    tr = _Translator({*vertices, *p.perm_vars},
+                     {v: NameSortT(ATOM_SORT) for v in vertices})
     for c in p.constraints:
         lhs = tr.trans(c.lhs)
         rhs = tr.trans(c.rhs)
@@ -216,10 +218,10 @@ def translate_eu(p: EUProblem) -> Problem:
     # Each permutation variable must act injectively and be well defined,
     # i.e. its images must mirror the equality pattern of its arguments.
     for q in p.perm_vars:
-        sites = tr.applications.get(q, [])
-        for v, v2 in itertools.combinations(sites, 2):
-            tr.out.append(bij_gadget(v, v2, pvvar(q, v), pvvar(q, v2)))
-    return Problem(dict(tr.env), tuple(tr.out))
+        sites = tr.images.get(q, {})
+        for (v, x), (v2, x2) in itertools.combinations(sites.items(), 2):
+            tr.out.append(bij_gadget(v, v2, x, x2))
+    return Problem(tr.env, tuple(tr.out))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 A constraint is either in normal form (one of four solved shapes or four
 clash shapes) or exactly one rule applies to it, possibly with several
-branches.  `expand` computes the branch problems for one constraint;
-`successors` assembles a successor set for a whole problem under the
-focused (first reducible constraint) or full (every reducible constraint)
-strategy.
+branches.  `statuses` is the one classifier: it labels every constraint of
+a problem with its normal form, or None when a rule applies, in one pass.
+`expand` computes the branch problems for one constraint; `successors`
+assembles a successor set for a whole problem under the focused (first
+reducible constraint) or full (every reducible constraint) strategy.
 """
 from __future__ import annotations
 
@@ -87,7 +88,7 @@ def has_clash(p: Problem) -> bool:
     return any(map(clash_kind, p.constraints))
 
 
-def _classify(sig: Signature, env: Env, c: Constraint, in_rest) -> str | None:
+def _classify(env: Env, c: Constraint, in_rest) -> str | None:
     """Normal-form label of c, or None when some rule still applies to it;
     in_rest tells whether a variable occurs in the other constraints."""
     kind = clash_kind(c)
@@ -120,13 +121,6 @@ def _classify(sig: Signature, env: Env, c: Constraint, in_rest) -> str | None:
             return None  # narrowing or substitution applies
         return SOLVED_ASSIGN
     return None
-
-
-def classify(sig: Signature, env: Env, c: Constraint,
-             rest: tuple[Constraint, ...] = ()) -> str | None:
-    """Normal-form label of c relative to the other constraints, or None
-    when some rule still applies to it."""
-    return statuses(sig, Problem(env, (c, *rest)))[0]
 
 
 @cache
@@ -177,10 +171,8 @@ def narrow(sig: Signature, ty: Type, shape: Term,
     return {binder: NameSortT(ty.binder), body: ty.body}, SAbs(binder, Var(body))
 
 
-def _replace(p: Problem, i: int, new: list[Constraint],
-             env: Env | None = None) -> Problem:
-    cs = p.constraints[:i] + tuple(new) + p.constraints[i + 1:]
-    return Problem(env if env is not None else p.env, cs)
+def _replace(p: Problem, i: int, new: list[Constraint]) -> Problem:
+    return Problem(p.env, p.constraints[:i] + tuple(new) + p.constraints[i + 1:])
 
 
 def _subst_rest(p: Problem, i: int, keep: list[Constraint],
@@ -191,8 +183,7 @@ def _subst_rest(p: Problem, i: int, keep: list[Constraint],
                    before + tuple(keep) + after)
 
 
-def _expand_fresh(sig: Signature, p: Problem, i: int,
-                  c: Fresh) -> tuple[Problem, ...]:
+def _expand_fresh(p: Problem, i: int, c: Fresh) -> tuple[Problem, ...]:
     env = p.env
     ys, core = abs_prefix(c.target)
     x = c.var
@@ -286,32 +277,31 @@ def expand(sig: Signature, p: Problem, i: int,
     """Branch problems obtained by applying the one applicable rule to
     constraint i.  Raises InvalidSelection if that constraint is normal."""
     c = p.constraints[i]
-    if verify and statuses(sig, p)[i] is not None:
+    if verify and statuses(p)[i] is not None:
         raise InvalidSelection(f"constraint {i} is in normal form: {c}")
     if isinstance(c, Fresh):
-        return _expand_fresh(sig, p, i, c)
+        return _expand_fresh(p, i, c)
     return _expand_eq(sig, p, i, c)
 
 
-def shared_vars(cs: tuple[Constraint, ...]) -> set[str]:
-    """The variables that occur in at least two of the constraints cs: in
-    the rest, for any one constraint that mentions them."""
+@memo_on_object
+def shared_vars(p: Problem) -> frozenset[str]:
+    """The variables that occur in at least two of p's constraints: in the
+    rest, for any one constraint that mentions them.  They depend only on
+    the constraints, which never change, so each problem counts them once."""
     seen: set[str] = set()
     shared: set[str] = set()
-    for c in cs:
-        shared |= seen & constraint_vars(c)
-        seen |= constraint_vars(c)
-    return shared
+    for vs in map(constraint_vars, p.constraints):
+        shared |= seen & vs
+        seen |= vs
+    return frozenset(shared)
 
 
-def statuses(sig: Signature, p: Problem) -> tuple[str | None, ...]:
-    """Normal-form labels of all constraints, computed in one pass."""
-    shared = shared_vars(p.constraints).__contains__
-    return tuple(_classify(sig, p.env, c, shared) for c in p.constraints)
-
-
-def reducible_indices(sig: Signature, p: Problem) -> tuple[int, ...]:
-    return tuple(i for i, s in enumerate(statuses(sig, p)) if s is None)
+def statuses(p: Problem) -> tuple[str | None, ...]:
+    """Normal-form labels of all constraints, computed in one pass.  Not
+    memoised on p: the labels read p.env, a mapping the caller owns."""
+    shared = shared_vars(p).__contains__
+    return tuple(_classify(p.env, c, shared) for c in p.constraints)
 
 
 def successors(sig: Signature, p: Problem,
@@ -324,7 +314,7 @@ def successors(sig: Signature, p: Problem,
     This is the paper's relation; the decider's search shortcuts over it
     live in `decider`.
     """
-    idx = reducible_indices(sig, p)
+    idx = [i for i, s in enumerate(statuses(p)) if s is None]
     if not idx:
         return ()
     if strategy == "focused":
@@ -333,11 +323,3 @@ def successors(sig: Signature, p: Problem,
     for i in idx:
         out.extend(expand(sig, p, i, verify=False))
     return tuple(out)
-
-
-def is_terminal(sig: Signature, p: Problem) -> bool:
-    return all(s is not None for s in statuses(sig, p))
-
-
-def is_solved(sig: Signature, p: Problem) -> bool:
-    return all(s in SOLVED_FORMS for s in statuses(sig, p))

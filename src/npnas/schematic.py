@@ -94,8 +94,9 @@ SUNIT = SUnit()
 
 def memo_on_object(fn):
     """Memoise a one-argument function on immutable values by storing the
-    result in the argument's own __dict__ (terms and constraints are frozen
-    dataclasses without __slots__), so it lives and dies with the object."""
+    result in the argument's own __dict__ (terms, constraints and problems
+    are frozen dataclasses without __slots__), so it lives and dies with the
+    object."""
     key = f"_memo_{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)

@@ -176,6 +176,23 @@ def test_syntax_error_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(signature (name-sort A) (data-sort D))\n"
+     "(vars (x (name A))\n      (x (data D)))\n(constraints)",
+     "3:7: variable x declared twice"),
+    ("(signature (data-sort D)\n  (con K unit D)\n  (con K (data D) D))\n"
+     "(vars)\n(constraints)",
+     "3:3: constructor K declared twice"),
+], ids=["variable", "constructor"])
+def test_duplicate_declaration_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "dup.np"
+    path.write_text(text)
+    for command in ("check", "solve"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert message in err
+
+
 def test_budget_exhaustion_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(PROBLEMS / "swap-pair-fresh.np"),
                        "--budget", "0")

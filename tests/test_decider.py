@@ -14,7 +14,7 @@ from npnas.eubridge import EU_SIGNATURE, translate_eu
 from npnas.kernel import UNIT_T, AlphaTree, DataSortT, Name, NameSortT, make_signature
 from npnas.oracle import brute_sat, random_eu_problem, random_problem
 from npnas.rewrite import (
-    SOLVED_ASSIGN, expand, reducible_indices, statuses, successors)
+    SOLVED_ASSIGN, expand, statuses, successors)
 from npnas.schematic import (
     Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var, satisfies_all)
 
@@ -200,7 +200,7 @@ def test_solved_equations_leave_the_search_state(sig, monkeypatch):
     assert r.sat and satisfies_all(r.witness, p)
     assert len(expanded) > 100
     for q in expanded:
-        assert SOLVED_ASSIGN not in statuses(sig, q), q
+        assert SOLVED_ASSIGN not in statuses(q), q
     assert max(len(q.constraints) for q in expanded) < 40
 
 
@@ -226,6 +226,10 @@ def test_memo_key_tells_types_apart():
 
 # ---------------------------------------------------------------------------
 # Search shortcuts
+
+def _reducible(q):
+    return tuple(i for i, s in enumerate(statuses(q)) if s is None)
+
 
 def _search_states(sig, p, limit=40):
     """Up to `limit` problems reachable from p, breadth first."""
@@ -257,7 +261,7 @@ def test_committed_orientation_is_one_of_expands_branches(sig):
         assert kid in expand(sig, p, 0) and kid != p
     committed = 0
     for s, q in _sampled_states():
-        for i in reducible_indices(s, q):
+        for i in _reducible(q):
             c = q.constraints[i]
             if isinstance(c, Eq) and isinstance(c.lhs, Var) and isinstance(c.rhs, Var):
                 (kid,) = decider._branches(s, q, i)
@@ -269,7 +273,7 @@ def test_committed_orientation_is_one_of_expands_branches(sig):
 def test_single_branch_predicate_matches_the_branch_count():
     counts = {True: 0, False: 0}
     for s, q in _sampled_states():
-        for i in reducible_indices(s, q):
+        for i in _reducible(q):
             branching = len(decider._branches(s, q, i)) > 1
             assert decider._branching(q.env, q.constraints[i]) == branching, (q, i)
             counts[branching] += 1
@@ -283,7 +287,7 @@ def test_binders_of_another_sort_do_not_branch():
     for c in (Fresh("a", SAbs("b", Var("x"))),
               Eq(SAbs("b", Var("x")), SAbs("c", Var("y")))):
         p = Problem(env, (c,))
-        assert reducible_indices(two, p) == (0,)
+        assert _reducible(p) == (0,)
         assert len(expand(two, p, 0)) == 1
         assert not decider._branching(env, c)
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from npnas.cli import parse_eu
 from npnas.decider import decide
 from npnas.errors import PhaseTwoViolation, PoolTooLarge, UndeclaredSymbol, ValidationError
 from npnas.eubridge import (
@@ -117,6 +118,22 @@ def test_translation_adds_bijection_gadgets_per_site_pair():
     tp = translate_eu(p)
     gadgets = [c for c in tp.constraints if "(tuple" in str(c)]
     assert len(gadgets) == 3  # one per unordered pair of sites
+
+
+@pytest.mark.parametrize("text", [
+    # a swap temporary named like the declared _w0
+    "(eu (names) (name-vars A B C _w0) (perm-vars) (constraints"
+    " (eq (app (swap A B) A) C) (fresh A B) (fresh _w0 B)))",
+    # the image of Q at A named like the declared Q.A
+    "(eu (names) (name-vars A B Q.A) (perm-vars Q) (constraints"
+    " (eq (app Q A) B) (fresh Q.A B)))",
+    # Q at A.B and Q.A at B both named Q.A.B
+    "(eu (names) (name-vars A.B B C) (perm-vars Q Q.A) (constraints"
+    " (eq (app Q A.B) C) (fresh (app Q.A B) C)))",
+], ids=["temporary", "image", "two-images"])
+def test_generated_names_avoid_taken_ones(text):
+    p = parse_eu(text)
+    assert decide(EU_SIGNATURE, translate_eu(p)).sat == eu_brute_sat(p)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import io
 import random
 import re
+import sys
 import tempfile
 from functools import reduce
 from pathlib import Path
@@ -248,3 +249,60 @@ def test_arbitrary_text_is_accepted_or_an_input_error(text):
                 code = main(["check", str(path)])
             assert code in (0, 2), err.getvalue()
             assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Deep and wide problems through the command line
+
+_SIGNATURE = ("(signature (name-sort nm) (data-sort tm)\n"
+              "  (con Z unit tm) (con V (name nm) tm)\n"
+              "  (con L (abs (name nm) (data tm)) tm)\n"
+              "  (con P (pair (data tm) (data tm)) tm))\n"
+              "(vars (a (name nm)) (b (name nm)) (x (data tm)) (y (data tm)))\n")
+_LEAVES = ("x", "y", "(con V a)", "(con V b)", "(con Z unit)")
+
+
+def _term(depth, leaf):
+    """`depth` levels alternating L over an abstraction and P over a pair."""
+    t = _LEAVES[leaf]
+    for i in range(depth):
+        t = (f"(con L (abs b {t}))" if i % 2 == 0
+             else f"(con P (tuple {t} (con Z unit)))")
+    return t
+
+
+def _constraint(kind, var, depth, leaf):
+    t = _term(depth, leaf)
+    return (f"(eq {'xy'[var]} {t})", f"(fresh {'ab'[var]} {t})",
+            f"(eq (abs a {'xy'[var]}) (abs b {t}))")[kind]
+
+
+_shape = st.tuples(st.integers(0, 2), st.integers(0, 1))
+# One constraint with a term up to 400 levels deep, or up to 60 shallow ones.
+_deep_or_wide = st.one_of(
+    st.tuples(_shape, st.integers(0, 400), st.integers(0, 4)).map(lambda c: [c]),
+    st.lists(st.tuples(_shape, st.integers(0, 3), st.integers(0, 4)),
+             min_size=1, max_size=60))
+
+
+@given(_deep_or_wide)
+@settings(max_examples=20, deadline=None)
+def test_deep_or_wide_problem_gets_an_exit_code(cs):
+    text = _SIGNATURE + "(constraints\n" + "\n".join(
+        _constraint(kind, var, depth, leaf)
+        for (kind, var), depth, leaf in cs) + ")\n"
+    # Hypothesis raises the recursion limit while a test runs; the command
+    # runs under the interpreter's default, as `npnas solve` does.
+    limit = sys.getrecursionlimit()
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "input.np"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        sys.setrecursionlimit(1000)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["solve", "--budget", "2000", str(path)])
+        finally:
+            sys.setrecursionlimit(limit)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

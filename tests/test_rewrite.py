@@ -13,13 +13,11 @@ from npnas.rewrite import (
     SOLVED_ABS_PAIR,
     SOLVED_ABS_SAME,
     SOLVED_ASSIGN,
+    SOLVED_FORMS,
     SOLVED_FRESH,
-    classify,
     expand,
     fresh_vars,
     has_clash,
-    is_solved,
-    is_terminal,
     narrow,
     statuses,
     successors,
@@ -37,47 +35,47 @@ def prob(env, *cs):
 # ---------------------------------------------------------------------------
 # Classification
 
-def test_solved_forms(sig):
+def test_solved_forms():
     env = {"a": NM, "b": NM, "x": TM, "y": TM}
-    assert classify(sig, env, Fresh("a", Var("b"))) == SOLVED_FRESH
-    assert classify(sig, env, Eq(Var("x"), SApp("Z", SUNIT))) == SOLVED_ASSIGN
-    assert classify(sig, env, Eq(SAbs("a", Var("x")),
-                                 SAbs("b", Var("y")))) == SOLVED_ABS_PAIR
-    assert classify(sig, env, Eq(SAbs("a", Var("x")),
-                                 SAbs("b", Var("x")))) == SOLVED_ABS_SAME
+    assert statuses(prob(env, Fresh("a", Var("b"))))[0] == SOLVED_FRESH
+    assert statuses(prob(env, Eq(Var("x"), SApp("Z", SUNIT))))[0] == SOLVED_ASSIGN
+    assert statuses(prob(env, Eq(SAbs("a", Var("x")),
+                                 SAbs("b", Var("y")))))[0] == SOLVED_ABS_PAIR
+    assert statuses(prob(env, Eq(SAbs("a", Var("x")),
+                                 SAbs("b", Var("x")))))[0] == SOLVED_ABS_SAME
 
 
-def test_clash_forms(sig):
+def test_clash_forms():
     env = {"a": NM, "b": NM, "x": TM, "y": TM}
-    assert classify(sig, env, Fresh("a", Var("a"))) == CLASH_SELF_FRESH
-    assert classify(sig, env, Eq(SApp("Z", SUNIT),
-                                 SApp("V", Var("a")))) == CLASH_CON
+    assert statuses(prob(env, Fresh("a", Var("a"))))[0] == CLASH_SELF_FRESH
+    assert statuses(prob(env, Eq(SApp("Z", SUNIT),
+                                 SApp("V", Var("a")))))[0] == CLASH_CON
     # a variable not occurring on the other side is not an occurs clash
-    assert classify(sig, env, Eq(Var("x"), SApp("V", Var("a")))) == SOLVED_ASSIGN
-    assert classify(sig, env,
-                    Eq(Var("x"), SApp("P", STuple((Var("x"), Var("y"))))),
-                    ) == CLASH_OCCURS
-    assert classify(sig, env,
-                    Eq(SAbs("a", Var("x")),
-                       SAbs("b", SApp("P", STuple((Var("x"), Var("y"))))))
-                    ) == CLASH_ABS_OCCURS
+    assert statuses(prob(env, Eq(Var("x"), SApp("V", Var("a")))))[0] == SOLVED_ASSIGN
+    assert statuses(prob(env,
+                         Eq(Var("x"), SApp("P", STuple((Var("x"), Var("y"))))),
+                         ))[0] == CLASH_OCCURS
+    assert statuses(prob(env,
+                         Eq(SAbs("a", Var("x")),
+                            SAbs("b", SApp("P", STuple((Var("x"), Var("y"))))))
+                         ))[0] == CLASH_ABS_OCCURS
 
 
-def test_has_clash_matches_classification(sig):
+def test_has_clash_matches_classification():
     rng = random.Random(21)
     for _ in range(200):
         _, p = random_problem(rng)
-        st = statuses(sig, p)
+        st = statuses(p)
         from npnas.rewrite import CLASH_FORMS
         assert has_clash(p) == any(s in CLASH_FORMS for s in st)
 
 
-def test_assign_only_when_variable_isolated(sig):
+def test_assign_only_when_variable_isolated():
     env = {"x": TM, "y": TM}
     c = Eq(Var("x"), SApp("Z", SUNIT))
     # x occurs in another constraint: substitution applies instead.
-    assert classify(sig, env, c, rest=(Eq(Var("x"), Var("y")),)) is None
-    assert classify(sig, env, c, rest=(Eq(Var("y"), Var("y")),)) == SOLVED_ASSIGN
+    assert statuses(prob(env, c, Eq(Var("x"), Var("y"))))[0] is None
+    assert statuses(prob(env, c, Eq(Var("y"), Var("y"))))[0] == SOLVED_ASSIGN
 
 
 def test_fresh_on_other_name_sort_reduces_to_nothing():
@@ -85,7 +83,7 @@ def test_fresh_on_other_name_sort_reduces_to_nothing():
     sig2 = make_signature({"A", "B"}, set(), {})
     env = {"a": NameSortT("A"), "b": NameSortT("B")}
     c = Fresh("a", Var("b"))
-    assert classify(sig2, env, c) is None
+    assert statuses(prob(env, c))[0] is None
     (q,) = expand(sig2, prob(env, c), 0)
     assert q.constraints == ()
 
@@ -189,7 +187,8 @@ def test_successors_empty_iff_terminal(sig):
     rng = random.Random(22)
     for _ in range(150):
         _, p = random_problem(rng)
-        assert (successors(sig, p) == ()) == is_terminal(sig, p)
+        assert (successors(sig, p) == ()) == all(
+            s is not None for s in statuses(p))
 
 
 def test_full_strategy_covers_focused(sig):
@@ -205,9 +204,10 @@ def test_full_strategy_covers_focused(sig):
 def test_solved_implies_terminal(sig):
     env = {"a": NM, "b": NM}
     p = prob(env, Fresh("a", Var("b")))
-    assert is_solved(sig, p) and is_terminal(sig, p)
-    clashp = prob(env, Fresh("a", Var("a")))
-    assert is_terminal(sig, clashp) and not is_solved(sig, clashp)
+    st = statuses(p)
+    assert all(s in SOLVED_FORMS for s in st) and all(s is not None for s in st)
+    st = statuses(prob(env, Fresh("a", Var("a"))))
+    assert all(s is not None for s in st) and not all(s in SOLVED_FORMS for s in st)
 
 
 def test_fresh_vars_skip_taken():
