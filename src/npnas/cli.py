@@ -20,7 +20,8 @@ with NT ::= SYM | (app id SYM) | (app PERM NT) and PERM ::= SYM
           | (swap NT NT).
 
 Exit codes: 0 satisfiable (or plain success), 1 unsatisfiable, 2 usage or
-validation errors, 3 exhausted budgets and guards, or input nested too
+validation errors, 3 exhausted budgets and guards, an oracle that found no
+witness within bounds too small to decide the problem, or input nested too
 deeply for the interpreter's recursion limit, 4 internal errors (a witness
 that fails its re-check, or any other unexpected exception).
 """
@@ -210,6 +211,13 @@ def parse_constraint(sx):
     raise sx.error("malformed constraint")
 
 
+def _declare_sort(sorts: list[str], item: SList, what: str) -> None:
+    sort = _want_atom(item.items[1], "a sort name")
+    if sort in sorts:
+        raise item.error(f"{what} {sort} declared twice")
+    sorts.append(sort)
+
+
 def parse_problem(text: str) -> tuple[Signature, Problem]:
     name_sorts: list[str] = []
     data_sorts: list[str] = []
@@ -226,11 +234,9 @@ def parse_problem(text: str) -> tuple[Signature, Problem]:
                     item = _want_list(item, "a signature entry")
                     match _head(item), len(item.items):
                         case "name-sort", 2:
-                            name_sorts.append(
-                                _want_atom(item.items[1], "a sort name"))
+                            _declare_sort(name_sorts, item, "name sort")
                         case "data-sort", 2:
-                            data_sorts.append(
-                                _want_atom(item.items[1], "a sort name"))
+                            _declare_sort(data_sorts, item, "data sort")
                         case "con", 4:
                             k = _want_atom(item.items[1], "a constructor name")
                             if k in cons:
@@ -316,13 +322,13 @@ def parse_eu(text: str) -> eubridge.EUProblem:
         part = _want_list(part, "an eu section")
         match _head(part):
             case "names":
-                names = tuple(_want_atom(a, "a name") for a in part.items[1:])
+                names += tuple(_want_atom(a, "a name") for a in part.items[1:])
             case "name-vars":
-                name_vars = tuple(_want_atom(a, "a variable")
-                                  for a in part.items[1:])
+                name_vars += tuple(_want_atom(a, "a variable")
+                                   for a in part.items[1:])
             case "perm-vars":
-                perm_vars = tuple(_want_atom(a, "a variable")
-                                  for a in part.items[1:])
+                perm_vars += tuple(_want_atom(a, "a variable")
+                                   for a in part.items[1:])
             case "constraints":
                 for c in part.items[1:]:
                     c = _want_list(c, "a constraint")
@@ -396,7 +402,10 @@ def cmd_oracle(args) -> int:
     if result.sat and args.witness:
         for x in p.env:
             print(f"{x} = {realize(result.witness[x])}")
-    return 0 if result.sat else 1
+    if result.sat:
+        return 0
+    # Without exactness the bounds were hit before they covered the problem.
+    return 1 if result.exact else 3
 
 
 def cmd_translate_eu(args) -> int:
@@ -418,6 +427,14 @@ def cmd_eu_oracle(args) -> int:
     return 0 if sat else 1
 
 
+def _count(text: str) -> int:
+    """An argparse type: a whole number that is not negative."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of at least 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="npnas",
@@ -435,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress the satisfying valuation")
     s.add_argument("--strategy", choices=["focused", "full"],
                    default="focused")
-    s.add_argument("--budget", type=int, default=None)
+    s.add_argument("--budget", type=_count, default=None)
     s.set_defaults(run=cmd_solve)
 
     f = sub.add_parser("fo", help="decide the first-order collapse only")
@@ -444,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="brute-force enumeration up to bounds")
     o.add_argument("file")
-    o.add_argument("--size", type=int, default=5)
-    o.add_argument("--pool", type=int, default=3)
+    o.add_argument("--size", type=_count, default=5)
+    o.add_argument("--pool", type=_count, default=3)
     o.add_argument("--witness", action="store_true")
     o.set_defaults(run=cmd_oracle)
 

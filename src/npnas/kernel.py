@@ -84,38 +84,43 @@ def make_signature(name_sorts, data_sorts, constructors) -> Signature:
     return sig
 
 
-def _sorts_of(ty: Type, names: set[str], datas: set[str]) -> None:
-    if isinstance(ty, NameSortT):
-        names.add(ty.sort)
-    elif isinstance(ty, DataSortT):
-        datas.add(ty.sort)
-    elif isinstance(ty, AbsT):
-        names.add(ty.binder)
-        _sorts_of(ty.body, names, datas)
-    elif isinstance(ty, TupleT):
-        for t in ty.items:
-            _sorts_of(t, names, datas)
+def type_sorts(ty: Type) -> tuple[set[str], set[str]]:
+    """The name sorts and the data sorts that ty mentions."""
+    names: set[str] = set()
+    datas: set[str] = set()
+    todo = [ty]
+    for t in todo:  # todo grows as the walk goes down
+        if isinstance(t, NameSortT):
+            names.add(t.sort)
+        elif isinstance(t, DataSortT):
+            datas.add(t.sort)
+        elif isinstance(t, AbsT):
+            names.add(t.binder)
+            todo.append(t.body)
+        elif isinstance(t, TupleT):
+            todo.extend(t.items)
+    return names, datas
 
 
 def validate_signature(sig: Signature) -> None:
     overlap = sig.name_sorts & sig.data_sorts
     if overlap:
         raise ValidationError(f"sorts declared as both name and data: {sorted(overlap)}")
+    needs: dict[str, set[str]] = {}
     for con, (arg, res) in sig.constructors.items():
         if res not in sig.data_sorts:
             raise ValidationError(f"constructor {con} targets undeclared data sort {res}")
-        names: set[str] = set()
-        datas: set[str] = set()
-        _sorts_of(arg, names, datas)
+        names, datas = type_sorts(arg)
         if not names <= sig.name_sorts:
             raise ValidationError(f"constructor {con} uses undeclared name sorts {sorted(names - sig.name_sorts)}")
         if not datas <= sig.data_sorts:
             raise ValidationError(f"constructor {con} uses undeclared data sorts {sorted(datas - sig.data_sorts)}")
+        needs[con] = datas
     # Standing assumption: every type over the signature has a ground tree,
     # which holds iff every data sort does.
-    ranks = _data_sort_ranks(sig)
+    builders = _builders(sig, needs)
     for d in sorted(sig.data_sorts):
-        if d not in ranks:
+        if d not in builders:
             raise Uninhabited(DataSortT(d))
 
 
@@ -430,38 +435,34 @@ def atree_fresh(n: Name, a: AlphaTree) -> bool:
 # ---------------------------------------------------------------------------
 # Inhabitants
 
-def _type_rank(ty: Type, ranks: dict[str, int]) -> int | None:
-    """Max data-sort rank occurring in ty, or None if some sort has none."""
-    if isinstance(ty, (NameSortT, UnitT)):
-        return 0
-    if isinstance(ty, DataSortT):
-        return ranks.get(ty.sort)
-    if isinstance(ty, AbsT):
-        return _type_rank(ty.body, ranks)
-    worst = 0
-    for item in ty.items:
-        r = _type_rank(item, ranks)
-        if r is None:
-            return None
-        worst = max(worst, r)
-    return worst
+def _builders(sig: Signature,
+              needs: Mapping[str, set[str]] | None = None) -> dict[str, str]:
+    """Data sort -> the constructor that builds its inhabitant; a sort
+    without ground trees has no entry.  needs maps each constructor to the
+    data sorts of its argument, for a caller that has already walked them.
 
-
-def _data_sort_ranks(sig: Signature) -> dict[str, int]:
-    """Least fixpoint: rank = iteration at which a sort becomes inhabited."""
-    ranks: dict[str, int] = {}
-    rank = 1
-    changed = True
-    while changed:
-        changed = False
-        for con, (arg, res) in sig.constructors.items():
-            if res in ranks:
-                continue
-            if _type_rank(arg, ranks) is not None:
-                ranks[res] = rank
-                changed = True
-        rank += 1
-    return ranks
+    A sort's rank is the round in which it becomes inhabited, and a round
+    reads only the sorts of earlier rounds.  So a builder's argument
+    mentions only sorts of lower rank, and building never returns to a sort
+    it is building.  The constructors that qualify in a sort's round are
+    those whose argument has the least rank (the highest rank among its data
+    sorts); the first by name builds it.
+    """
+    if needs is None:
+        needs = {con: type_sorts(arg)[1]
+                 for con, (arg, _) in sig.constructors.items()}
+    builders: dict[str, str] = {}
+    todo = sorted(sig.constructors.items())
+    while todo:
+        found: dict[str, str] = {}
+        for con, (_, res) in todo:
+            if res not in found and needs[con] <= builders.keys():
+                found[res] = con
+        if not found:
+            break
+        builders.update(found)
+        todo = [item for item in todo if item[1][1] not in found]
+    return builders
 
 
 def inhabitant(sig: Signature, ty: Type, start_index: int = 0) -> GroundTree:
@@ -470,7 +471,7 @@ def inhabitant(sig: Signature, ty: Type, start_index: int = 0) -> GroundTree:
     Raises Uninhabited when the signature violates the standing assumption
     (make_signature already rejects such signatures up front).
     """
-    ranks = _data_sort_ranks(sig)
+    builders = _builders(sig)
 
     def go(t: Type) -> GroundTree:
         if isinstance(t, NameSortT):
@@ -481,21 +482,9 @@ def inhabitant(sig: Signature, ty: Type, start_index: int = 0) -> GroundTree:
             return GAbs(Name(t.binder, start_index), go(t.body))
         if isinstance(t, TupleT):
             return GTuple(tuple(go(item) for item in t.items))
-        if t.sort not in ranks:
+        if t.sort not in builders:
             raise Uninhabited(t)
-        # Pick the constructor whose argument is buildable earliest so the
-        # recursion bottoms out.
-        best = None
-        for con in sorted(sig.constructors):
-            arg, res = sig.constructors[con]
-            if res != t.sort:
-                continue
-            r = _type_rank(arg, ranks)
-            if r is None:
-                continue
-            if best is None or r < best[0]:
-                best = (r, con, arg)
-        assert best is not None
-        return GApp(best[1], go(best[2]))
+        con = builders[t.sort]
+        return GApp(con, go(sig.arg_type(con)))
 
     return go(ty)

@@ -30,6 +30,7 @@ from .kernel import (
     Type,
     UNIT_T,
     UnitT,
+    type_sorts,
 )
 from .schematic import (
     Constraint,
@@ -100,21 +101,9 @@ def enumerate_atrees(sig: Signature, ty: Type, max_size: int,
 # Exactness certificates
 
 def _data_deps(sig: Signature) -> dict[str, set[str]]:
-    def sorts_in(ty: Type) -> set[str]:
-        if isinstance(ty, DataSortT):
-            return {ty.sort}
-        if isinstance(ty, AbsT):
-            return sorts_in(ty.body)
-        if isinstance(ty, TupleT):
-            out: set[str] = set()
-            for t in ty.items:
-                out |= sorts_in(t)
-            return out
-        return set()
-
     deps: dict[str, set[str]] = {d: set() for d in sig.data_sorts}
     for con, (arg, res) in sig.constructors.items():
-        deps[res] |= sorts_in(arg)
+        deps[res] |= type_sorts(arg)[1]
     return deps
 
 

@@ -41,6 +41,7 @@ from .kernel import (
     atree_fresh,
     canonicalize,
     realize,
+    type_sorts,
 )
 
 # ---------------------------------------------------------------------------
@@ -234,8 +235,13 @@ def check_constraint(sig: Signature, env: Env, c: Constraint) -> None:
 
 def check_problem(sig: Signature, p: Problem) -> None:
     for x, ty in p.env.items():
-        if isinstance(ty, NameSortT) and ty.sort not in sig.name_sorts:
-            raise IllFormedProblem(f"{x} uses undeclared name sort {ty.sort}")
+        names, datas = type_sorts(ty)
+        if not names <= sig.name_sorts:
+            raise IllFormedProblem(f"{x} uses undeclared name sort "
+                                   f"{min(names - sig.name_sorts)}")
+        if not datas <= sig.data_sorts:
+            raise IllFormedProblem(f"{x} uses undeclared data sort "
+                                   f"{min(datas - sig.data_sorts)}")
     try:
         for c in p.constraints:
             check_constraint(sig, p.env, c)

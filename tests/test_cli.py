@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 
@@ -12,9 +13,25 @@ from npnas.cli import (
     parse_type,
 )
 from npnas.decider import decide
-from npnas.errors import SourceSyntaxError
-from npnas.kernel import AbsT, NameSortT, TupleT, UNIT_T
-from npnas.schematic import SAbs, SApp, STuple, SUNIT, Var, satisfies_all
+from npnas.errors import IllFormedProblem, SourceSyntaxError, ValidationError
+from npnas.kernel import (
+    AbsT,
+    DataSortT,
+    NameSortT,
+    TupleT,
+    UNIT_T,
+    check_tree,
+    realize,
+)
+from npnas.schematic import (
+    SAbs,
+    SApp,
+    STuple,
+    SUNIT,
+    Var,
+    check_problem,
+    satisfies_all,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -91,6 +108,18 @@ def test_parse_eu_file():
     assert p.name_vars == ("A", "B")
     assert p.perm_vars == ("Q", "Qp")
     assert len(p.constraints) == 2
+
+
+def test_parse_eu_joins_repeated_sections():
+    p = parse_eu("(eu (names) (name-vars A B) (perm-vars) (name-vars C)\n"
+                 "    (perm-vars Q) (names c) (constraints (fresh C C)))")
+    assert p.names == ("c",)
+    assert p.name_vars == ("A", "B", "C")
+    assert p.perm_vars == ("Q",)
+    # A symbol that two sections declare is a duplicate declaration.
+    with pytest.raises(ValidationError, match="duplicate symbol"):
+        parse_eu("(eu (name-vars A) (perm-vars) (name-vars A)\n"
+                 "    (constraints (eq A A)))")
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +212,13 @@ def test_syntax_error_is_usage_error(tmp_path, capsys):
     ("(signature (data-sort D)\n  (con K unit D)\n  (con K (data D) D))\n"
      "(vars)\n(constraints)",
      "3:3: constructor K declared twice"),
-], ids=["variable", "constructor"])
+    ("(signature (name-sort A) (data-sort D) (con K unit D)\n"
+     "  (name-sort A))\n(vars)\n(constraints)",
+     "2:3: name sort A declared twice"),
+    ("(signature (data-sort D) (con K unit D)\n"
+     "  (data-sort D))\n(vars)\n(constraints)",
+     "2:3: data sort D declared twice"),
+], ids=["variable", "constructor", "name sort", "data sort"])
 def test_duplicate_declaration_is_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "dup.np"
     path.write_text(text)
@@ -197,6 +232,69 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(PROBLEMS / "swap-pair-fresh.np"),
                        "--budget", "0")
     assert code == 3
+
+
+def test_oracle_without_exactness_is_a_resource_limit(capsys):
+    # Size 0 admits no candidate, so nothing is found and nothing is proved.
+    code, out, _ = run(capsys, "oracle", "--size", "0",
+                       str(PROBLEMS / "swap-pair.np"))
+    assert code == 3
+    assert out == "result: unsat\nexact: false\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--budget", "-1"),
+    ("oracle", "--size", "-3"),
+    ("oracle", "--pool", "-1"),
+])
+def test_negative_count_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main([*argv, str(PROBLEMS / "swap-pair.np")])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert f"{argv[1]}: expected a whole number of at least 0" in out.err
+
+
+# An equal tie between the constructors of S: `a` comes first by name, but T
+# is built through S, so `a` cannot build S's inhabitant.
+MUTUAL_SORTS = ("(signature (data-sort U) (data-sort S) (data-sort T)\n"
+                "  (con u unit U) (con s1 (data U) S) (con t1 (data S) T)\n"
+                "  (con a (data T) S))\n"
+                "(vars (x (data S)))\n(constraints (eq x x))\n")
+
+
+def test_inhabitant_of_mutually_recursive_sorts(tmp_path, capsys):
+    sig, p = parse_problem(MUTUAL_SORTS)
+    r = decide(sig, p)
+    assert r.sat and satisfies_all(r.witness, p)
+    check_tree(sig, realize(r.witness["x"]), DataSortT("S"))
+    path = tmp_path / "mutual.np"
+    path.write_text(MUTUAL_SORTS)
+    code, out, _ = run(capsys, "solve", str(path))
+    assert code == 0 and "x = (con s1 (con u unit))\n" in out
+
+
+@pytest.mark.parametrize("decls, message", [
+    ("(x (data Q))", "x uses undeclared data sort Q"),
+    ("(x (abs (name B) unit)) (y (pair (name Z) unit))",
+     "x uses undeclared name sort B"),
+    ("(y (pair (name Z) unit))", "y uses undeclared name sort Z"),
+    ("(z (pair unit (abs (name nm) (data Q))))",
+     "z uses undeclared data sort Q"),
+], ids=["data", "binder", "pair", "nested data"])
+def test_undeclared_sort_in_variable_type(tmp_path, capsys, decls, message):
+    text = ("(signature (name-sort nm) (data-sort tm) (con K unit tm))\n"
+            f"(vars {decls})\n(constraints)\n")
+    sig, p = parse_problem(text)
+    with pytest.raises(IllFormedProblem, match=re.escape(message)):
+        check_problem(sig, p)
+    path = tmp_path / "undeclared.np"
+    path.write_text(text)
+    for command in ("check", "solve"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def _deep_term(depth: int) -> str:
