@@ -211,10 +211,14 @@ def parse_constraint(sx):
     raise sx.error("malformed constraint")
 
 
-def _declare_sort(sorts: list[str], item: SList, what: str) -> None:
+def _declare_sort(sorts: list[str], others: list[str], item: SList,
+                  what: str) -> None:
+    """Add a sort to `sorts`; `others` holds the sorts of the other kind."""
     sort = _want_atom(item.items[1], "a sort name")
     if sort in sorts:
         raise item.error(f"{what} {sort} declared twice")
+    if sort in others:
+        raise item.error(f"sort {sort} declared as both name sort and data sort")
     sorts.append(sort)
 
 
@@ -234,9 +238,11 @@ def parse_problem(text: str) -> tuple[Signature, Problem]:
                     item = _want_list(item, "a signature entry")
                     match _head(item), len(item.items):
                         case "name-sort", 2:
-                            _declare_sort(name_sorts, item, "name sort")
+                            _declare_sort(name_sorts, data_sorts, item,
+                                          "name sort")
                         case "data-sort", 2:
-                            _declare_sort(data_sorts, item, "data sort")
+                            _declare_sort(data_sorts, name_sorts, item,
+                                          "data sort")
                         case "con", 4:
                             k = _want_atom(item.items[1], "a constructor name")
                             if k in cons:
@@ -252,6 +258,8 @@ def parse_problem(text: str) -> tuple[Signature, Problem]:
                     if len(item.items) != 2:
                         raise item.error("expected (SYM TYPE)")
                     x = _want_atom(item.items[0], "a variable")
+                    if x == "unit":  # terms read the atom as the unit value
+                        raise item.error("unit is a term, not a variable name")
                     if x in env:
                         raise item.error(f"variable {x} declared twice")
                     env[x] = parse_type(item.items[1])

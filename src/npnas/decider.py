@@ -43,7 +43,8 @@ from functools import cache
 
 from .errors import BudgetExhausted, NotSolved, ValidationError
 from .foreduce import fo_sat
-from .kernel import AlphaTree, Name, NameSortT, Signature, canonicalize, inhabitant
+from .kernel import (AlphaTree, Name, NameSortT, Signature, canonicalize,
+                     inhabitant, memo_on_object)
 from .rewrite import (
     SOLVED_ASSIGN,
     SOLVED_FORMS,
@@ -69,7 +70,6 @@ from .schematic import (
     abs_prefix,
     check_problem,
     instantiate,
-    memo_on_object,
     problem_vars,
     satisfies_all,
 )

@@ -6,9 +6,31 @@ All values here are immutable and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Mapping, Union
 
 from .errors import SortMismatch, TypeMismatch, Uninhabited, ValidationError
+
+# ---------------------------------------------------------------------------
+# Memoisation
+
+def memo_on_object(fn):
+    """Memoise a one-argument function on immutable values by storing the
+    result in the argument's own __dict__ (signatures, alpha-tree nodes,
+    terms, constraints and problems are frozen dataclasses without
+    __slots__), so it lives and dies with the object."""
+    key = f"_memo_{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def wrapped(obj):
+        try:  # in a search most calls are hits, where try is cheapest
+            return obj.__dict__[key]
+        except KeyError:
+            v = obj.__dict__[key] = fn(obj)
+            return v
+
+    return wrapped
+
 
 # ---------------------------------------------------------------------------
 # Types
@@ -106,7 +128,6 @@ def validate_signature(sig: Signature) -> None:
     overlap = sig.name_sorts & sig.data_sorts
     if overlap:
         raise ValidationError(f"sorts declared as both name and data: {sorted(overlap)}")
-    needs: dict[str, set[str]] = {}
     for con, (arg, res) in sig.constructors.items():
         if res not in sig.data_sorts:
             raise ValidationError(f"constructor {con} targets undeclared data sort {res}")
@@ -115,10 +136,9 @@ def validate_signature(sig: Signature) -> None:
             raise ValidationError(f"constructor {con} uses undeclared name sorts {sorted(names - sig.name_sorts)}")
         if not datas <= sig.data_sorts:
             raise ValidationError(f"constructor {con} uses undeclared data sorts {sorted(datas - sig.data_sorts)}")
-        needs[con] = datas
     # Standing assumption: every type over the signature has a ground tree,
     # which holds iff every data sort does.
-    builders = _builders(sig, needs)
+    builders = _builders(sig)
     for d in sorted(sig.data_sorts):
         if d not in builders:
             raise Uninhabited(DataSortT(d))
@@ -348,7 +368,7 @@ class AlphaTree:
     node: ANode
 
     def free_names(self) -> frozenset[Name]:
-        return _anode_free_names(self.node)
+        return anode_free_names(self.node)
 
     def is_name(self) -> bool:
         return isinstance(self.node, Name)
@@ -359,19 +379,20 @@ class AlphaTree:
         return self.node
 
 
-def _anode_free_names(a: ANode) -> frozenset[Name]:
+_NO_NAMES: frozenset[Name] = frozenset()
+
+
+@memo_on_object
+def anode_free_names(a: ANode) -> frozenset[Name]:
+    """The free names of a node, kept on the node, so a shared subtree is
+    walked once."""
     if isinstance(a, Name):
         return frozenset([a])
     if isinstance(a, (ABound, AUnit)):
-        return frozenset()
+        return _NO_NAMES
     if isinstance(a, ATuple):
-        out: frozenset[Name] = frozenset()
-        for item in a.items:
-            out |= _anode_free_names(item)
-        return out
-    if isinstance(a, AApp):
-        return _anode_free_names(a.arg)
-    return _anode_free_names(a.body)
+        return _NO_NAMES.union(*map(anode_free_names, a.items))
+    return anode_free_names(a.arg if isinstance(a, AApp) else a.body)
 
 
 def canonicalize(g: GroundTree) -> AlphaTree:
@@ -435,11 +456,10 @@ def atree_fresh(n: Name, a: AlphaTree) -> bool:
 # ---------------------------------------------------------------------------
 # Inhabitants
 
-def _builders(sig: Signature,
-              needs: Mapping[str, set[str]] | None = None) -> dict[str, str]:
+@memo_on_object
+def _builders(sig: Signature) -> dict[str, str]:
     """Data sort -> the constructor that builds its inhabitant; a sort
-    without ground trees has no entry.  needs maps each constructor to the
-    data sorts of its argument, for a caller that has already walked them.
+    without ground trees has no entry.  Built once per signature.
 
     A sort's rank is the round in which it becomes inhabited, and a round
     reads only the sorts of earlier rounds.  So a builder's argument
@@ -448,9 +468,8 @@ def _builders(sig: Signature,
     those whose argument has the least rank (the highest rank among its data
     sorts); the first by name builds it.
     """
-    if needs is None:
-        needs = {con: type_sorts(arg)[1]
-                 for con, (arg, _) in sig.constructors.items()}
+    needs = {con: type_sorts(arg)[1]
+             for con, (arg, _) in sig.constructors.items()}
     builders: dict[str, str] = {}
     todo = sorted(sig.constructors.items())
     while todo:

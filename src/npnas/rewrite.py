@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import InvalidSelection, NarrowOnVariable
-from .kernel import AbsT, NameSortT, Signature, TupleT, Type
+from .kernel import AbsT, NameSortT, Signature, TupleT, Type, memo_on_object
 from .schematic import (
     Constraint,
     Env,
@@ -29,7 +29,6 @@ from .schematic import (
     Var,
     abs_prefix,
     constraint_vars,
-    memo_on_object,
     problem_vars,
     subst_constraint,
     term_vars,

@@ -8,7 +8,6 @@ whose binder variable maps to a name is possibly capturing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
 from typing import Mapping, Union
 
 from .errors import (
@@ -20,14 +19,16 @@ from .errors import (
     UnboundVariable,
 )
 from .kernel import (
+    AAbs,
     ABound,
     AbsT,
     AlphaTree,
     AApp,
+    ANode,
     ATuple,
+    AUNIT,
     AUnit,
     DataSortT,
-    GAbs,
     GApp,
     GTuple,
     GUNIT,
@@ -38,9 +39,9 @@ from .kernel import (
     TupleT,
     Type,
     UNIT_T,
+    anode_free_names,
     atree_fresh,
-    canonicalize,
-    realize,
+    memo_on_object,
     type_sorts,
 )
 
@@ -91,24 +92,6 @@ class SAbs:
 Term = Union[Var, SUnit, STuple, SApp, SAbs]
 
 SUNIT = SUnit()
-
-
-def memo_on_object(fn):
-    """Memoise a one-argument function on immutable values by storing the
-    result in the argument's own __dict__ (terms, constraints and problems
-    are frozen dataclasses without __slots__), so it lives and dies with the
-    object."""
-    key = f"_memo_{fn.__module__}.{fn.__qualname__}"
-
-    @wraps(fn)
-    def wrapped(obj):
-        try:  # in a search most calls are hits, where try is cheapest
-            return obj.__dict__[key]
-        except KeyError:
-            v = obj.__dict__[key] = fn(obj)
-            return v
-
-    return wrapped
 
 
 @memo_on_object
@@ -296,27 +279,62 @@ def subst_constraint(c: Constraint, x: str, r: Term) -> Constraint:
 Valuation = Mapping[str, AlphaTree]
 
 
-def _ground(V: Valuation, t: Term) -> GroundTree:
+def instantiate(V: Valuation, t: Term) -> AlphaTree:
+    """The alpha-tree denoted by t under V (capture is intended: the binder
+    of an abstraction is whatever name V assigns the binder variable).
+
+    Built straight in nameless form: a variable's value is taken as it is,
+    except that its free names bound by an enclosing abstraction of t
+    become bound occurrences of the innermost such abstraction."""
+    return AlphaTree(_instantiate(V, t, []))
+
+
+def _instantiate(V: Valuation, t: Term, binders: list[Name]) -> ANode:
+    """t's node under V, below abstractions binding `binders` (innermost
+    last)."""
     if isinstance(t, Var):
         if t.name not in V:
             raise MissingVariable(f"valuation lacks {t.name}")
-        return realize(V[t.name])
+        node = V[t.name].node
+        if not binders:
+            return node
+        free = anode_free_names(node)
+        captured: dict[Name, int] = {}
+        for distance, n in enumerate(reversed(binders)):
+            if n in free:
+                captured.setdefault(n, distance)
+        return _capture(node, captured, 0) if captured else node
     if isinstance(t, SUnit):
-        return GUNIT
+        return AUNIT
     if isinstance(t, STuple):
-        return GTuple(tuple(_ground(V, item) for item in t.items))
+        return ATuple(tuple(_instantiate(V, item, binders) for item in t.items))
     if isinstance(t, SApp):
-        return GApp(t.con, _ground(V, t.arg))
+        return AApp(t.con, _instantiate(V, t.arg, binders))
     if t.binder not in V:
         raise MissingVariable(f"valuation lacks {t.binder}")
     binder = V[t.binder].name()  # raises TypeMismatch on non-name values
-    return GAbs(binder, _ground(V, t.body))
+    binders.append(binder)
+    body = _instantiate(V, t.body, binders)
+    binders.pop()
+    return AAbs(binder.sort, body)
 
 
-def instantiate(V: Valuation, t: Term) -> AlphaTree:
-    """The alpha-tree denoted by t under V (capture is intended: the binder
-    of an abstraction is whatever name V assigns the binder variable)."""
-    return canonicalize(_ground(V, t))
+def _capture(node: ANode, captured: Mapping[Name, int], depth: int) -> ANode:
+    """node, which lies `depth` binders inside a variable's value, with
+    each free name n in `captured` bound by the binder captured[n] places
+    outside that value.  Subtrees without a captured name are returned
+    themselves."""
+    if isinstance(node, Name):
+        outer = captured.get(node)
+        return node if outer is None else ABound(depth + outer)
+    if captured.keys().isdisjoint(anode_free_names(node)):
+        return node
+    if isinstance(node, ATuple):
+        return ATuple(tuple(_capture(item, captured, depth)
+                            for item in node.items))
+    if isinstance(node, AApp):
+        return AApp(node.con, _capture(node.arg, captured, depth))
+    return AAbs(node.sort, _capture(node.body, captured, depth + 1))
 
 
 def satisfies(V: Valuation, c: Constraint) -> bool:

@@ -228,6 +228,28 @@ def test_duplicate_declaration_is_usage_error(tmp_path, capsys, text, message):
         assert message in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(signature (name-sort A))\n"
+     "(vars (y (name A))\n      (unit (name A)))\n"
+     "(constraints (eq (abs unit y) (abs y unit)))",
+     "3:7: unit is a term, not a variable name"),
+    ("(signature (name-sort A)\n  (data-sort A) (con K unit A))\n"
+     "(vars)\n(constraints)",
+     "2:3: sort A declared as both name sort and data sort"),
+    ("(signature (data-sort A) (con K unit A)\n  (name-sort A))\n"
+     "(vars)\n(constraints)",
+     "2:3: sort A declared as both name sort and data sort"),
+], ids=["unit variable", "name then data sort", "data then name sort"])
+def test_bad_declaration_is_reported_where_it_is(tmp_path, capsys, text,
+                                                 message):
+    path = tmp_path / "bad.np"
+    path.write_text(text)
+    for command in ("check", "solve"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_budget_exhaustion_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(PROBLEMS / "swap-pair-fresh.np"),
                        "--budget", "0")

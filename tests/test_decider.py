@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from npnas import decider
+from npnas import decider, foreduce, kernel, oracle, rewrite, schematic
 from npnas.cli import parse_eu
 from npnas.decider import SolveOptions, _canonical_key, decide, extract_witness
 from npnas.errors import (
@@ -142,6 +142,25 @@ def test_extract_witness_fills_the_store_in_reverse(sig):
     V = extract_witness(sig, Problem(env, ()), (("x", t_x), ("y", t_y)))
     assert satisfies_all(V, Problem(env, (Eq(Var("x"), t_x),
                                           Eq(Var("y"), t_y))))
+
+
+def test_deep_sat_search_never_realizes(sig, monkeypatch):
+    # Values are built in nameless form; realize only prints them.
+    def refuse(*args):
+        raise AssertionError("realize called while deciding")
+
+    for module in (kernel, schematic, decider, rewrite, foreduce, oracle):
+        if hasattr(module, "realize"):
+            monkeypatch.setattr(module, "realize", refuse)
+    t = SApp("V", Var("f"))
+    for i in range(60):
+        t = (SApp("L", SAbs(f"c{i % 3}", t)) if i % 2
+             else SApp("P", STuple((t, Var("y")))))
+    env = {"a": NM, "b": NM, "f": NM, "c0": NM, "c1": NM, "c2": NM,
+           "x": TM, "y": TM}
+    p = Problem(env, (Eq(SAbs("a", Var("x")), SAbs("b", t)),))
+    r = decide(sig, p)
+    assert r.sat and r.nodes > 60 and satisfies_all(r.witness, p)
 
 
 def test_shared_values_avoid_the_name_pool(sig):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from npnas import kernel
 from npnas.errors import SortMismatch, TypeMismatch, Uninhabited, ValidationError
 from npnas.kernel import (
     AbsT,
@@ -199,6 +200,14 @@ def inhabited_signatures(draw):
 def test_every_data_sort_has_a_checked_inhabitant(sig):
     for d in sorted(sig.data_sorts):
         check_tree(sig, inhabitant(sig, DataSortT(d)), DataSortT(d))
+
+
+def test_inhabitant_reuses_the_signature_builder_table(monkeypatch):
+    # make_signature builds the table; inhabitant walks no constructor again.
+    sig = small_signature()
+    monkeypatch.setattr(kernel, "type_sorts", None)
+    for _ in range(2):
+        check_tree(sig, inhabitant(sig, DataSortT("tm")), DataSortT("tm"))
 
 
 def test_inhabitant_start_index_bounds_free_names():

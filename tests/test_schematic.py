@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from npnas.errors import (
     IllFormedProblem,
@@ -11,8 +12,12 @@ from npnas.errors import (
     UnboundVariable,
 )
 from npnas.kernel import (
+    AAbs,
+    AApp,
+    ABound,
     AbsT,
     AlphaTree,
+    ATuple,
     DataSortT,
     GAbs,
     GApp,
@@ -23,6 +28,7 @@ from npnas.kernel import (
     TupleT,
     UNIT_T,
     canonicalize,
+    realize,
 )
 from npnas.schematic import (
     Eq,
@@ -46,6 +52,7 @@ from npnas.schematic import (
     term_size,
     term_vars,
     tree_size,
+    wrap_abs,
 )
 from npnas.oracle import small_signature
 
@@ -154,6 +161,107 @@ def test_instantiate_capture_semantics():
     V2 = {"a": n(0), "b": n(1)}
     got2 = instantiate(V2, SAbs("a", Var("b")))
     assert got2 == canonicalize(GAbs(Name("nm", 0), Name("nm", 1)))
+
+
+def ref_ground(V, t):
+    """The reference semantics of instantiation: a ground tree with every
+    variable's value realized, so that canonicalize(ref_ground(V, t)) is
+    the alpha-tree t denotes, capture included."""
+    if isinstance(t, Var):
+        if t.name not in V:
+            raise MissingVariable(t.name)
+        return realize(V[t.name])
+    if t == SUNIT:
+        return GUNIT
+    if isinstance(t, STuple):
+        return GTuple(tuple(ref_ground(V, item) for item in t.items))
+    if isinstance(t, SApp):
+        return GApp(t.con, ref_ground(V, t.arg))
+    if t.binder not in V:
+        raise MissingVariable(t.binder)
+    return GAbs(V[t.binder].name(), ref_ground(V, t.body))
+
+
+# Two names, so binders often share a name (shadowing) and values often have
+# a free name that an enclosing binder maps to (capture).  x's value is an
+# abstraction, so a captured name is often free below a binder of the value.
+# Binders are mostly a and b; c is often unset or not a name.
+pool = st.sampled_from([Name("nm", 0), Name("nm", 1)])
+gtrees = st.recursive(
+    pool,
+    lambda sub: st.one_of(
+        st.tuples(pool, sub).map(lambda p: GAbs(*p)),
+        st.tuples(sub, sub).map(GTuple),
+        sub.map(lambda g: GApp("L", g))),
+    max_leaves=6)
+values = st.one_of(gtrees.map(canonicalize), pool.map(AlphaTree))
+valuations = st.fixed_dictionaries(
+    {"a": pool.map(AlphaTree), "b": pool.map(AlphaTree),
+     "x": st.tuples(pool, gtrees).map(lambda p: canonicalize(GAbs(*p))),
+     "y": values},
+    optional={"c": values})
+binder_vars = st.sampled_from("aaabbbc")
+prefixed_vars = st.tuples(st.lists(binder_vars, max_size=3),
+                          st.sampled_from("abcxxxy")).map(
+    lambda p: wrap_abs(tuple(p[0]), Var(p[1])))
+terms = st.recursive(
+    prefixed_vars,
+    lambda sub: st.one_of(
+        st.tuples(binder_vars, sub).map(lambda p: SAbs(*p)),
+        sub.map(lambda t: SApp("L", t)),
+        st.tuples(sub, sub).map(STuple)),
+    max_leaves=6)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (MissingVariable, TypeMismatch) as exc:
+        return type(exc)
+
+
+@given(valuations, terms)
+@settings(max_examples=400)
+@example({"a": n(0), "b": n(0), "x": canonicalize(Name("nm", 0)),
+          "y": n(1)},
+         SAbs("a", SAbs("b", STuple((Var("x"), Var("y"))))))
+@example({"a": n(0), "b": n(1),
+          "x": canonicalize(GApp("L", GAbs(Name("nm", 1), GTuple(
+              (Name("nm", 1), Name("nm", 0)))))),
+          "y": n(1)},
+         SAbs("a", SAbs("b", SAbs("a", Var("x")))))
+def test_instantiate_agrees_with_grounding(V, t):
+    got = _outcome(lambda: instantiate(V, t))
+    assert got == _outcome(lambda: canonicalize(ref_ground(V, t)))
+
+
+def test_instantiate_binds_captured_names_to_the_innermost_binder():
+    # <a><b>x, a and b both n0, x = (L <n1>(n1, n0)): the free n0 of x is
+    # bound by b, one binder inside x's own and none between b and x.
+    V = {"a": n(0), "b": n(0), "x": canonicalize(GApp("L", GAbs(
+        Name("nm", 1), GTuple((Name("nm", 1), Name("nm", 0))))))}
+    got = instantiate(V, SAbs("a", SAbs("b", Var("x"))))
+    body = AApp("L", AAbs("nm", ATuple((ABound(0), ABound(1)))))
+    assert got.node == AAbs("nm", AAbs("nm", body))
+    # A value without captured names is used as it is.
+    V["x"] = canonicalize(GApp("V", Name("nm", 1)))
+    assert instantiate(V, SAbs("a", Var("x"))).node.body is V["x"].node
+
+
+@pytest.mark.parametrize("t, V, error", [
+    (SAbs("a", SUNIT), {}, MissingVariable),
+    (SAbs("a", Var("x")), {"a": n(0)}, MissingVariable),
+    (STuple((Var("a"), SAbs("a", Var("z")))), {"a": n(0)}, MissingVariable),
+    (SAbs("a", SAbs("x", SUNIT)),
+     {"a": n(0), "x": canonicalize(GApp("Z", GUNIT))}, TypeMismatch),
+    # The binder is looked up before the body.
+    (SAbs("x", Var("z")), {"x": canonicalize(GUNIT)}, TypeMismatch),
+], ids=["binder unset", "variable unset under a binder",
+        "variable unset after an item", "non-name binder under a binder",
+        "non-name binder before an unset body"])
+def test_instantiate_errors(t, V, error):
+    with pytest.raises(error):
+        instantiate(V, t)
 
 
 def test_instantiate_requires_name_for_binder():
