@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Time the `npnas solve` path at two checkouts in alternating rounds.
+
+    python scripts/paired.py PARENT CHANGE [--family np|eu] [--pairs N]
+
+PARENT and CHANGE are checkouts of this repository (directories that hold
+src/npnas).  The input is built once, by PARENT's generators: 4,000
+`random_problem` of seed 1 written with `format_problem` (family np), or
+300 `random_eu_problem` of seed 10 written as .eu text (family eu).  One
+worker process per checkout gets the same texts; it runs with
+PYTHONHASHSEED=0 and that checkout's src first on its path.  A round reads,
+decides and renders every text once, as `npnas solve` does for one file,
+and its time is the sum of the per-file times.  After one warm-up round
+each, rounds alternate in ABBA order (parent, change, change, parent, ...),
+so drift on a shared host falls on both sides alike; pair k is the k-th
+timed round of each side.
+
+It prints each side's median round time with its quartiles, and the median
+and quartiles of the per-pair ratio change / parent.  It exits 1 if the two
+sides' verdicts or node totals differ.  Standard library only.
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def worker() -> None:
+    """Serve one JSON request per line of stdin with one JSON line."""
+    import gc
+    import random
+    import time
+
+    from npnas import cli, eubridge
+    from npnas.decider import decide
+    from npnas.kernel import realize
+    from npnas.oracle import random_eu_problem, random_problem
+
+    def render_eu(p) -> str:
+        return (f"(eu (names {' '.join(p.names)})\n"
+                f"    (name-vars {' '.join(p.name_vars)})\n"
+                f"    (perm-vars {' '.join(p.perm_vars)})\n"
+                "    (constraints" + "".join(f"\n      {c}"
+                                             for c in p.constraints) + "))\n")
+
+    def solve(text: str, eu: bool):
+        if eu:
+            sig, p = eubridge.EU_SIGNATURE, eubridge.translate_eu(
+                cli.parse_eu(text))
+        else:
+            sig, p = cli.parse_problem(text)
+        r = decide(sig, p)
+        lines = [f"result: {'sat' if r.sat else 'unsat'}"]
+        if r.reason:
+            lines.append(f"reason: {r.reason}")
+        if r.sat:
+            lines.extend(f"{x} = {realize(r.witness[x])}" for x in p.env)
+        lines.append(f"stats: nodes={r.nodes} normal-forms={r.normal_forms}")
+        print("\n".join(lines), file=sink)
+        return r.sat, r.nodes
+
+    sink = open(os.devnull, "w")
+    texts: list[str] = []
+    eu = False
+    clock = time.perf_counter_ns
+    for line in sys.stdin:
+        req = json.loads(line)
+        if req["do"] == "build":
+            if req["family"] == "np":
+                rng = random.Random(1)
+                out = [cli.format_problem(*random_problem(rng))
+                       for _ in range(4000)]
+            else:
+                rng = random.Random(10)
+                out = [render_eu(random_eu_problem(rng)) for _ in range(300)]
+            reply = {"texts": out}
+        elif req["do"] == "load":
+            texts, eu = req["texts"], req["family"] == "eu"
+            reply = {}
+        else:
+            gc.collect()
+            ns = nodes = 0
+            verdicts = []
+            for text in texts:
+                t0 = clock()
+                sat, n = solve(text, eu)
+                ns += clock() - t0
+                nodes += n
+                verdicts.append("s" if sat else "u")
+            reply = {"s": ns / 1e9, "nodes": nodes,
+                     "verdicts": "".join(verdicts)}
+        print(json.dumps(reply), flush=True)
+
+
+class Side:
+    """A worker process over one checkout."""
+
+    def __init__(self, name: str, checkout: str):
+        src = os.path.join(os.path.abspath(checkout), "src")
+        if not os.path.isdir(os.path.join(src, "npnas")):
+            sys.exit(f"{checkout}: no src/npnas there")
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+        self.name = name
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--worker"], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.seconds: list[float] = []
+        self.results: set[tuple[int, str]] = set()
+
+    def ask(self, **req) -> dict:
+        self.proc.stdin.write(json.dumps(req) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            sys.exit(f"{self.name}: the worker stopped")
+        return json.loads(line)
+
+    def round(self, timed: bool = True) -> None:
+        r = self.ask(do="round")
+        if timed:
+            self.seconds.append(r["s"])
+        self.results.add((r["nodes"], r["verdicts"]))
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return q1, q2, q3
+
+
+def main() -> int:
+    if sys.argv[1:] == ["--worker"]:
+        worker()
+        return 0
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--family", choices=("np", "eu"), default="np")
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args()
+    parent, change = Side("parent", args.parent), Side("change", args.change)
+    try:
+        texts = parent.ask(do="build", family=args.family)["texts"]
+        for side in (parent, change):
+            side.ask(do="load", family=args.family, texts=texts)
+            side.round(timed=False)
+        for k in range(args.pairs):
+            for side in ((parent, change) if k % 2 == 0 else (change, parent)):
+                side.round()
+    finally:
+        parent.close()
+        change.close()
+
+    print(f"family {args.family}: {len(texts)} files, {args.pairs} pairs "
+          "in ABBA order, PYTHONHASHSEED=0")
+    print(f"{'side':8} {'median_s':>9} {'q1_s':>9} {'q3_s':>9}")
+    for side in (parent, change):
+        q1, q2, q3 = quartiles(side.seconds)
+        print(f"{side.name:8} {q2:9.4f} {q1:9.4f} {q3:9.4f}")
+    ratios = [c / p for p, c in zip(parent.seconds, change.seconds)]
+    q1, q2, q3 = quartiles(ratios)
+    wins = sum(r < 1 for r in ratios)
+    print(f"ratio change/parent: median {q2:.3f}, quartiles {q1:.3f} "
+          f"{q3:.3f}; change faster in {wins} of {len(ratios)} pairs")
+    print("per pair: " + " ".join(f"{r:.3f}" for r in ratios))
+    if parent.results != change.results or len(parent.results) != 1:
+        print("verdicts or node totals differ:", file=sys.stderr)
+        for side in (parent, change):
+            for nodes, verdicts in side.results:
+                print(f"  {side.name}: nodes {nodes}, "
+                      f"{verdicts.count('s')} sat", file=sys.stderr)
+        return 1
+    ((nodes, verdicts),) = parent.results
+    print(f"verdicts and nodes agree: {verdicts.count('s')} sat of "
+          f"{len(verdicts)}, {nodes} nodes a round")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,267 +31,253 @@ import argparse
 import re
 import sys
 import traceback
-from itertools import islice
 
 from . import eubridge
 from .decider import SolveOptions, decide
-from .errors import (
-    BudgetExhausted,
-    NotSolved,
-    NpnasError,
-    PoolTooLarge,
-    SearchSpaceTooLarge,
-    SourceSyntaxError,
-)
+from .errors import (BudgetExhausted, NotSolved, NpnasError, PoolTooLarge,
+                     SearchSpaceTooLarge, SourceSyntaxError, UndeclaredSort)
 from .foreduce import fl_problem, fo_sat
-from .kernel import (
-    AbsT,
-    DataSortT,
-    NameSortT,
-    Signature,
-    TupleT,
-    Type,
-    UNIT_T,
-    make_signature,
-    realize,
-)
+from .kernel import (AbsT, DataSortT, NameSortT, Signature, TupleT, Type,
+                     UNIT_T, make_signature, realize)
 from .oracle import brute_sat
-from .schematic import (
-    Eq,
-    Fresh,
-    Problem,
-    SAbs,
-    SApp,
-    STuple,
-    SUNIT,
-    Term,
-    Var,
-    check_problem,
-)
+from .schematic import (Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Term,
+                        Var, check_problem)
 
 # ---------------------------------------------------------------------------
 # Reading s-expressions
+#
+# A reader pops each token off the reversed token list and builds as it
+# goes.  A token's position is the count `left` of tokens after it until an
+# error needs line and column.  A tree reader reads one tree; a ')' in its
+# place makes the form at `left` a malformed `form`.
 
 # Only space, tab, carriage return and newline separate atoms (a form feed is
 # part of one); a comment runs to the end of its line.
 _TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+# Text without a `;` or a character outside printable ASCII, tab, CR and LF
+# has no comment, and str.split() separates its atoms where _TOKEN does.
+_UNPLAIN = re.compile(r"[^\t\n\r -:<-~]")
+
+
+def _tokens(text: str) -> list[str]:
+    """The parentheses and atoms of text; comments are not tokens."""
+    if _UNPLAIN.search(text) is None:
+        return text.replace("(", " ( ").replace(")", " ) ").split()
+    return [tok for tok in _TOKEN.findall(text) if tok[0] != ";"]
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
-    """The 1-based line and column of token `index` of text, found by
-    scanning the text again; a tab or carriage return counts as one
-    column."""
-    at = next(islice(_TOKEN.finditer(text), index, None)).start()
+    """1-based line and column of token `index`; a tab or CR is one column."""
+    at = [m.start() for m in _TOKEN.finditer(text) if m[0][0] != ";"][index]
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-class _Node:
-    """A node keeps the text it was read from and the index of its first
-    token; its position is worked out only when asked for, which in
-    practice means for an error message."""
-    __slots__ = ("index", "text")
-
-    @property
-    def line(self) -> int:
-        return _position(self.text, self.index)[0]
-
-    @property
-    def col(self) -> int:
-        return _position(self.text, self.index)[1]
-
-    def error(self, message: str) -> SourceSyntaxError:
-        return SourceSyntaxError(message, *_position(self.text, self.index))
+class _Malformed(Exception):
+    """(message, left): an input error; left None is the text's start."""
 
 
-class Atom(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: str, index: int, text: str):
-        self.value = value
-        self.index = index
-        self.text = text
-
-
-class SList(_Node):
-    __slots__ = ("items",)
-
-    def __init__(self, items: tuple, index: int, text: str):
-        self.items = items
-        self.index = index
-        self.text = text
-
-
-def parse_sexprs(text: str) -> list:
-    stack: list[list] = []
+def _read(text: str, read):
+    """read(tokens), where a bracket error comes before any other."""
+    try:
+        return read(_tokens(text)[::-1])
+    except (_Malformed, IndexError) as exc:  # IndexError: the tokens ran out
+        error = exc
+    tokens = _tokens(text)
     opens: list[int] = []
-    top: list = []
-    for i, tok in enumerate(_TOKEN.findall(text)):
+    for i, tok in enumerate(tokens):
         if tok == "(":
-            stack.append(top)
             opens.append(i)
-            top = []
+        elif tok == ")" and not opens:
+            raise SourceSyntaxError("unmatched ')'", *_position(text, i))
         elif tok == ")":
-            if not stack:
-                raise SourceSyntaxError("unmatched ')'", *_position(text, i))
-            done = SList(tuple(top), opens.pop(), text)
-            top = stack.pop()
-            top.append(done)
-        elif tok[0] != ";":
-            top.append(Atom(tok, i, text))
-    if stack:
+            opens.pop()
+    if opens:
         raise SourceSyntaxError("unclosed '('", *_position(text, opens[-1]))
-    return top
+    if isinstance(error, IndexError):
+        raise error
+    message, left = error.args
+    at = (1, 1) if left is None else _position(text, len(tokens) - 1 - left)
+    raise SourceSyntaxError(message, *at)
 
 
-def _want_atom(sx, what: str) -> str:
-    if not isinstance(sx, Atom):
-        raise sx.error(f"expected {what}")
-    return sx.value
+def _bad_head(head: str, message: str, left: int) -> _Malformed:
+    """The error for a form at `left` with no rule for its head."""
+    if head == "(" or head == ")":
+        message = "expected a keyword after '('"
+    return _Malformed(message, left)
 
 
-def _want_list(sx, what: str) -> SList:
-    if not isinstance(sx, SList):
-        raise sx.error(f"expected {what}")
-    return sx
+def _atom(tokens: list[str], kind: str, form: str, left: int, last=False):
+    """The next token, an atom for `kind`, then with `last` a ')'.  A ')' for
+    the atom makes the form at `left` a malformed `form`."""
+    tok = tokens.pop()
+    if tok == "(":
+        raise _Malformed(f"expected {kind}", len(tokens))
+    if tok == ")" or last and tokens.pop() != ")":
+        raise _Malformed(form, left)
+    return tok
 
 
-def _head(sx: SList) -> str:
-    if not sx.items or not isinstance(sx.items[0], Atom):
-        raise sx.error("expected a keyword after '('")
-    return sx.items[0].value
+def _read_type(tokens: list[str], form: str, left: int) -> Type:
+    """The next type."""
+    pop = tokens.pop
+    stack: list = []
+    while True:
+        tok = pop()
+        if tok == "(":
+            here = len(tokens)
+            head = pop()
+            if head == "abs" or head == "pair":
+                stack.append((head, [], here))
+                continue
+            if head != "name" and head != "data":
+                raise _bad_head(head, "malformed type", here)
+            sort = _atom(tokens, "a sort name", "malformed type", here, True)
+            ty = NameSortT(sort) if head == "name" else DataSortT(sort)
+        elif tok == "unit":
+            ty = UNIT_T
+        elif tok != ")":
+            raise _Malformed(f"unknown type {tok}", len(tokens))
+        elif not stack:
+            raise _Malformed(form, left)
+        else:
+            head, items, here = stack.pop()
+            if head == "pair" and len(items) >= 2:
+                ty = TupleT(tuple(items))
+            elif head == "pair" or len(items) != 2:
+                raise _Malformed("malformed type", here)
+            elif items[0].__class__ is not NameSortT:
+                raise _Malformed("binder type must be (name SYM)", here)
+            else:
+                ty = AbsT(items[0].sort, items[1])
+        if not stack:
+            return ty
+        stack[-1][1].append(ty)
 
 
-# ---------------------------------------------------------------------------
-# Problem files
-
-def parse_type(sx) -> Type:
-    if isinstance(sx, Atom):
-        if sx.value == "unit":
-            return UNIT_T
-        raise sx.error(f"unknown type {sx.value}")
-    match _head(sx), len(sx.items):
-        case "name", 2:
-            return NameSortT(_want_atom(sx.items[1], "a sort name"))
-        case "data", 2:
-            return DataSortT(_want_atom(sx.items[1], "a sort name"))
-        case "abs", 3:
-            binder = _want_list(sx.items[1], "(name SYM)")
-            if _head(binder) != "name" or len(binder.items) != 2:
-                raise binder.error("binder type must be (name SYM)")
-            return AbsT(_want_atom(binder.items[1], "a sort name"),
-                        parse_type(sx.items[2]))
-        case "pair", n if n >= 3:
-            return TupleT(tuple(parse_type(t) for t in sx.items[1:]))
-    raise sx.error("malformed type")
-
-
-def parse_term(sx) -> Term:
-    if isinstance(sx, Atom):
-        return SUNIT if sx.value == "unit" else Var(sx.value)
-    match _head(sx), len(sx.items):
-        case "abs", 3:
-            return SAbs(_want_atom(sx.items[1], "a binder variable"),
-                        parse_term(sx.items[2]))
-        case "con", 3:
-            return SApp(_want_atom(sx.items[1], "a constructor name"),
-                        parse_term(sx.items[2]))
-        case "tuple", n if n >= 3:
-            return STuple(tuple(parse_term(t) for t in sx.items[1:]))
-    raise sx.error("malformed term")
+def _read_term(tokens: list[str], form: str, left: int) -> Term:
+    """The next term."""
+    pop = tokens.pop
+    stack: list = []
+    while True:
+        tok = pop()
+        if tok == "(":
+            here = len(tokens)
+            head = pop()
+            if head == "abs" or head == "con":
+                sym = _atom(tokens, "a binder variable" if head == "abs"
+                            else "a constructor name", "malformed term", here)
+                stack.append((head, [sym], here))
+            elif head == "tuple":
+                stack.append((head, [], here))
+            else:
+                raise _bad_head(head, "malformed term", here)
+            continue
+        if tok != ")":
+            t = SUNIT if tok == "unit" else Var(tok)
+        elif not stack:
+            raise _Malformed(form, left)
+        else:
+            head, items, here = stack.pop()
+            if head == "tuple" and len(items) >= 2:
+                t = STuple(tuple(items))
+            elif head == "tuple" or len(items) != 2:
+                raise _Malformed("malformed term", here)
+            else:
+                t = (SAbs if head == "abs" else SApp)(*items)
+        if not stack:
+            return t
+        stack[-1][1].append(t)
 
 
-def parse_constraint(sx):
-    sx = _want_list(sx, "a constraint")
-    match _head(sx), len(sx.items):
-        case "eq", 3:
-            return Eq(parse_term(sx.items[1]), parse_term(sx.items[2]))
-        case "fresh", 3:
-            return Fresh(_want_atom(sx.items[1], "a variable"),
-                         parse_term(sx.items[2]))
-    raise sx.error("malformed constraint")
-
-
-def _declare_sort(sorts: list[str], others: list[str], item: SList,
-                  what: str) -> None:
-    """Add a sort to `sorts`; `others` holds the sorts of the other kind."""
-    sort = _want_atom(item.items[1], "a sort name")
-    if sort in sorts:
-        raise item.error(f"{what} {sort} declared twice")
-    if sort in others:
-        raise item.error(f"sort {sort} declared as both name sort and data sort")
-    sorts.append(sort)
+def _read_problem(tokens: list[str]) -> tuple[Signature, Problem]:
+    sorts: dict[str, list[str]] = {"name-sort": [], "data-sort": []}
+    cons: dict[str, tuple[Type, str]] = {}
+    con_at: dict[str, int] = {}  # where each constructor is declared
+    env: dict[str, Type] = {}
+    constraints: list = []
+    entry, bad = "malformed signature entry", "malformed constraint"
+    forms = {"signature": "a signature entry", "vars":
+             "a variable declaration", "constraints": "a constraint"}
+    seen = set()
+    while tokens:
+        if tokens.pop() != "(":
+            raise _Malformed("expected a top-level form", len(tokens))
+        at = len(tokens)
+        if (form := tokens.pop()) not in forms:
+            raise _bad_head(form, f"unknown form {form}", at)
+        seen.add(form)
+        while (tok := tokens.pop()) != ")":
+            if tok != "(":
+                raise _Malformed(f"expected {forms[form]}", len(tokens))
+            at = len(tokens)
+            if form == "vars":
+                x = _atom(tokens, "a variable", "expected (SYM TYPE)", at)
+                if x == "unit":  # terms read the atom as the unit value
+                    raise _Malformed("unit is a term, not a variable name", at)
+                if x in env:
+                    raise _Malformed(f"variable {x} declared twice", at)
+                env[x] = _read_type(tokens, "expected (SYM TYPE)", at)
+                if tokens.pop() != ")":
+                    raise _Malformed("expected (SYM TYPE)", at)
+                continue
+            head = tokens.pop()
+            if form == "constraints":
+                if head == "eq":
+                    lhs = _read_term(tokens, bad, at)
+                elif head == "fresh":
+                    lhs = _atom(tokens, "a variable", bad, at)
+                else:
+                    raise _bad_head(head, bad, at)
+                rhs = _read_term(tokens, bad, at)
+                if tokens.pop() != ")":
+                    raise _Malformed(bad, at)
+                constraints.append((Eq if head == "eq" else Fresh)(lhs, rhs))
+            elif head in sorts:
+                sort = _atom(tokens, "a sort name", entry, at, True)
+                if sort in sorts[head]:
+                    raise _Malformed(f"{head.replace('-', ' ')} {sort} "
+                                     "declared twice", at)
+                if any(sort in other for other in sorts.values()):
+                    raise _Malformed(f"sort {sort} declared as both name sort "
+                                     "and data sort", at)
+                sorts[head].append(sort)
+            elif head == "con":
+                k = _atom(tokens, "a constructor name", entry, at)
+                if k in cons:
+                    raise _Malformed(f"constructor {k} declared twice", at)
+                arg = _read_type(tokens, entry, at)
+                cons[k] = (arg, _atom(tokens, "a sort name", entry, at, True))
+                con_at[k] = at
+            else:
+                raise _bad_head(head, entry, at)
+    if len(seen) < 3:
+        raise _Malformed("a problem needs signature, vars and constraints "
+                         "forms", None)
+    try:  # sorts may be declared after the constructors that use them
+        sig = make_signature(sorts["name-sort"], sorts["data-sort"], cons)
+    except UndeclaredSort as exc:
+        raise _Malformed(str(exc), con_at[exc.con]) from None
+    return sig, Problem(env, tuple(constraints))
 
 
 def parse_problem(text: str) -> tuple[Signature, Problem]:
-    name_sorts: list[str] = []
-    data_sorts: list[str] = []
-    cons: dict[str, tuple[Type, str]] = {}
-    env: dict[str, Type] = {}
-    constraints: list = []
-    saw_sig = saw_vars = saw_cs = False
-    for form in parse_sexprs(text):
-        form = _want_list(form, "a top-level form")
-        match _head(form):
-            case "signature":
-                saw_sig = True
-                for item in form.items[1:]:
-                    item = _want_list(item, "a signature entry")
-                    match _head(item), len(item.items):
-                        case "name-sort", 2:
-                            _declare_sort(name_sorts, data_sorts, item,
-                                          "name sort")
-                        case "data-sort", 2:
-                            _declare_sort(data_sorts, name_sorts, item,
-                                          "data sort")
-                        case "con", 4:
-                            k = _want_atom(item.items[1], "a constructor name")
-                            if k in cons:
-                                raise item.error(f"constructor {k} declared twice")
-                            cons[k] = (parse_type(item.items[2]),
-                                       _want_atom(item.items[3], "a sort name"))
-                        case _:
-                            raise item.error("malformed signature entry")
-            case "vars":
-                saw_vars = True
-                for item in form.items[1:]:
-                    item = _want_list(item, "a variable declaration")
-                    if len(item.items) != 2:
-                        raise item.error("expected (SYM TYPE)")
-                    x = _want_atom(item.items[0], "a variable")
-                    if x == "unit":  # terms read the atom as the unit value
-                        raise item.error("unit is a term, not a variable name")
-                    if x in env:
-                        raise item.error(f"variable {x} declared twice")
-                    env[x] = parse_type(item.items[1])
-            case "constraints":
-                saw_cs = True
-                constraints.extend(parse_constraint(c) for c in form.items[1:])
-            case other:
-                raise form.error(f"unknown form {other}")
-    if not (saw_sig and saw_vars and saw_cs):
-        raise SourceSyntaxError(
-            "a problem needs signature, vars and constraints forms", 1, 1)
-    sig = make_signature(name_sorts, data_sorts, cons)
-    return sig, Problem(env, tuple(constraints))
+    return _read(text, _read_problem)
 
 
 def format_problem(sig: Signature, p: Problem) -> str:
     lines = ["(signature"]
-    for s in sorted(sig.name_sorts):
-        lines.append(f"  (name-sort {s})")
-    for s in sorted(sig.data_sorts):
-        lines.append(f"  (data-sort {s})")
+    lines += [f"  (name-sort {s})" for s in sorted(sig.name_sorts)]
+    lines += [f"  (data-sort {s})" for s in sorted(sig.data_sorts)]
     for k in sorted(sig.constructors):
         arg, res = sig.constructors[k]
         lines.append(f"  (con {k} {arg} {res})")
     lines[-1] += ")"
     lines.append("(vars")
-    for x, ty in p.env.items():
-        lines.append(f"  ({x} {ty})")
+    lines += [f"  ({x} {ty})" for x, ty in p.env.items()]
     lines[-1] += ")"
     lines.append("(constraints")
-    for c in p.constraints:
-        lines.append(f"  {c}")
+    lines += [f"  {c}" for c in p.constraints]
     lines[-1] += ")"
     return "\n".join(lines) + "\n"
 
@@ -299,63 +285,77 @@ def format_problem(sig: Signature, p: Problem) -> str:
 # ---------------------------------------------------------------------------
 # Equivariant unification files
 
-def parse_nt(sx) -> eubridge.NameTerm:
-    if isinstance(sx, Atom):
-        return eubridge.Vertex(sx.value)
-    if _head(sx) == "app" and len(sx.items) == 3:
-        return eubridge.Susp(parse_perm(sx.items[1]), parse_nt(sx.items[2]))
-    raise sx.error("malformed name-term")
+def _read_nt(tokens: list[str], form: str, left: int) -> eubridge.NameTerm:
+    """The next name-term."""
+    stack: list = []
+    while True:
+        # Is this an app's first item, a permutation?
+        perm = bool(stack) and stack[-1][0] == "app" and not stack[-1][1]
+        tok = tokens.pop()
+        if tok == "(":
+            here = len(tokens)
+            if (head := tokens.pop()) != ("swap" if perm else "app"):
+                raise _bad_head(head, "malformed permutation" if perm
+                                else "malformed name-term", here)
+            stack.append((head, [], here))
+            continue
+        if tok != ")":
+            nt = (eubridge.Vertex(tok) if not perm else eubridge.PIdent()
+                  if tok == "id" else eubridge.PVar(tok))
+        elif not stack:
+            raise _Malformed(form, left)
+        else:
+            head, items, here = stack.pop()
+            if len(items) != 2:
+                raise _Malformed("malformed name-term" if head == "app"
+                                 else "malformed permutation", here)
+            nt = (eubridge.Susp if head == "app" else eubridge.PSwap)(*items)
+        if not stack:
+            return nt
+        stack[-1][1].append(nt)
 
 
-def parse_perm(sx) -> eubridge.Perm:
-    if isinstance(sx, Atom):
-        return eubridge.PIdent() if sx.value == "id" else eubridge.PVar(sx.value)
-    if _head(sx) == "swap" and len(sx.items) == 3:
-        return eubridge.PSwap(parse_nt(sx.items[1]), parse_nt(sx.items[2]))
-    raise sx.error("malformed permutation")
+def _read_eu(tokens: list[str]) -> eubridge.EUProblem:
+    if not tokens or tokens.pop() != "(" or tokens.pop() != "eu":
+        raise _Malformed("expected a single (eu ...) form", None)
+    symbols = {"names": [], "name-vars": [], "perm-vars": []}
+    constraints: list = []
+    while (tok := tokens.pop()) != ")":
+        if tok != "(":
+            raise _Malformed("expected an eu section", len(tokens))
+        at = len(tokens)
+        section = tokens.pop()
+        if section not in symbols and section != "constraints":
+            raise _bad_head(section, f"unknown eu section {section}", at)
+        kind = "a name" if section == "names" else "a variable"
+        while (tok := tokens.pop()) != ")":
+            if section != "constraints":
+                if tok == "(":
+                    raise _Malformed(f"expected {kind}", len(tokens))
+                if tok == "unit":  # the translation would read it as a term
+                    raise _Malformed(f"unit cannot be {kind}", len(tokens))
+                symbols[section].append(tok)
+                continue
+            if tok != "(":
+                raise _Malformed("expected a constraint", len(tokens))
+            at = len(tokens)
+            if (head := tokens.pop()) != "eq" and head != "fresh":
+                raise _bad_head(head, "malformed constraint", at)
+            lhs = _read_nt(tokens, "malformed constraint", at)
+            rhs = _read_nt(tokens, "malformed constraint", at)
+            if tokens.pop() != ")":
+                raise _Malformed("malformed constraint", at)
+            constraints.append((eubridge.EUEq if head == "eq"
+                                else eubridge.EUFresh)(lhs, rhs))
+    if tokens:
+        raise _Malformed("expected a single (eu ...) form", None)
+    p = eubridge.EUProblem(*map(tuple, symbols.values()), tuple(constraints))
+    eubridge.validate_eu(p)
+    return p
 
 
 def parse_eu(text: str) -> eubridge.EUProblem:
-    forms = parse_sexprs(text)
-    if len(forms) != 1:
-        raise SourceSyntaxError("expected a single (eu ...) form", 1, 1)
-    form = _want_list(forms[0], "(eu ...)")
-    if _head(form) != "eu":
-        raise form.error("expected (eu ...)")
-    names: tuple[str, ...] = ()
-    name_vars: tuple[str, ...] = ()
-    perm_vars: tuple[str, ...] = ()
-    constraints: list = []
-    for part in form.items[1:]:
-        part = _want_list(part, "an eu section")
-        match _head(part):
-            case "names":
-                names += tuple(_want_atom(a, "a name") for a in part.items[1:])
-            case "name-vars":
-                name_vars += tuple(_want_atom(a, "a variable")
-                                   for a in part.items[1:])
-            case "perm-vars":
-                perm_vars += tuple(_want_atom(a, "a variable")
-                                   for a in part.items[1:])
-            case "constraints":
-                for c in part.items[1:]:
-                    c = _want_list(c, "a constraint")
-                    match _head(c), len(c.items):
-                        case "eq", 3:
-                            constraints.append(
-                                eubridge.EUEq(parse_nt(c.items[1]),
-                                              parse_nt(c.items[2])))
-                        case "fresh", 3:
-                            constraints.append(
-                                eubridge.EUFresh(parse_nt(c.items[1]),
-                                                 parse_nt(c.items[2])))
-                        case _:
-                            raise c.error("malformed constraint")
-            case other:
-                raise part.error(f"unknown eu section {other}")
-    p = eubridge.EUProblem(names, name_vars, perm_vars, tuple(constraints))
-    eubridge.validate_eu(p)
-    return p
+    return _read(text, _read_eu)
 
 
 # ---------------------------------------------------------------------------

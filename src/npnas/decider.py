@@ -39,12 +39,11 @@ selection once the collapse succeeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import BudgetExhausted, NotSolved, ValidationError
 from .foreduce import fo_sat
-from .kernel import (AlphaTree, Name, NameSortT, Signature, canonicalize,
-                     inhabitant, memo_on_object)
+from .kernel import (AlphaTree, Name, NameSortT, Signature, Type,
+                     canonicalize, inhabitant, memo_on_object)
 from .rewrite import (
     SOLVED_ASSIGN,
     SOLVED_FORMS,
@@ -262,15 +261,17 @@ def extract_witness(sig: Signature, p: Problem,
     V: dict[str, AlphaTree] = {}
     pool: dict[str, int] = {}
     start = len(env)  # free names of shared values stay above the pool
-    value = cache(lambda ty: canonicalize(inhabitant(sig, ty, start)))
+    values: dict[Type, AlphaTree] = {}  # one value per type
     for x in sorted(env):
         ty = env[x]
         if isinstance(ty, NameSortT):
             i = pool.get(ty.sort, 0)
             pool[ty.sort] = i + 1
             V[x] = AlphaTree(Name(ty.sort, i))
+        elif ty in values:
+            V[x] = values[ty]
         else:
-            V[x] = value(ty)
+            V[x] = values[ty] = canonicalize(inhabitant(sig, ty, start))
     for x, t in reversed(store + moved):
         V[x] = instantiate(V, t)
 

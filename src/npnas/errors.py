@@ -85,3 +85,12 @@ class SourceSyntaxError(NpnasError):
 
 class ValidationError(NpnasError):
     """A parsed document violates a well-formedness rule."""
+
+
+class UndeclaredSort(ValidationError):
+    """A constructor of a signature uses a sort the signature does not
+    declare."""
+
+    def __init__(self, con, message):
+        super().__init__(message)
+        self.con = con

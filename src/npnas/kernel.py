@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from functools import wraps
 from typing import Mapping, Union
 
-from .errors import SortMismatch, TypeMismatch, Uninhabited, ValidationError
+from .errors import (
+    SortMismatch, TypeMismatch, UndeclaredSort, Uninhabited, ValidationError)
 
 # ---------------------------------------------------------------------------
 # Memoisation
@@ -130,12 +131,12 @@ def validate_signature(sig: Signature) -> None:
         raise ValidationError(f"sorts declared as both name and data: {sorted(overlap)}")
     for con, (arg, res) in sig.constructors.items():
         if res not in sig.data_sorts:
-            raise ValidationError(f"constructor {con} targets undeclared data sort {res}")
+            raise UndeclaredSort(con, f"constructor {con} targets undeclared data sort {res}")
         names, datas = type_sorts(arg)
         if not names <= sig.name_sorts:
-            raise ValidationError(f"constructor {con} uses undeclared name sorts {sorted(names - sig.name_sorts)}")
+            raise UndeclaredSort(con, f"constructor {con} uses undeclared name sorts {sorted(names - sig.name_sorts)}")
         if not datas <= sig.data_sorts:
-            raise ValidationError(f"constructor {con} uses undeclared data sorts {sorted(datas - sig.data_sorts)}")
+            raise UndeclaredSort(con, f"constructor {con} uses undeclared data sorts {sorted(datas - sig.data_sorts)}")
     # Standing assumption: every type over the signature has a ground tree,
     # which holds iff every data sort does.
     builders = _builders(sig)
@@ -422,6 +423,8 @@ def _canon(g: GroundTree, binders: list[Name]) -> ANode:
 def realize(a: AlphaTree, avoid: frozenset[Name] = frozenset()) -> GroundTree:
     """Pick a ground representative; binder names are drawn above every
     free-name index (and every index in avoid) at the relevant sort."""
+    if isinstance(a.node, Name):  # a bare name is its own representative
+        return a.node
     base: dict[str, int] = {}
     for n in a.free_names() | avoid:
         base[n.sort] = max(base.get(n.sort, 0), n.index + 1)

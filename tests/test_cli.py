@@ -4,13 +4,12 @@ import re
 import pytest
 
 from npnas.cli import (
+    _position,
+    _tokens,
     format_problem,
     main,
     parse_eu,
     parse_problem,
-    parse_sexprs,
-    parse_term,
-    parse_type,
 )
 from npnas.decider import decide
 from npnas.errors import IllFormedProblem, SourceSyntaxError, ValidationError
@@ -41,26 +40,37 @@ PROBLEMS = ROOT / "problems"
 # Parsing
 
 def test_sexpr_positions_in_errors():
-    with pytest.raises(SourceSyntaxError) as e:
-        parse_sexprs("(a\n  (b)")
-    assert e.value.line == 1 and e.value.column == 1
-    with pytest.raises(SourceSyntaxError) as e2:
-        parse_sexprs("(a))")
-    assert e2.value.line == 1 and e2.value.column == 4
+    # Bracket errors come before any other error, in both formats.
+    for parse in (parse_problem, parse_eu):
+        with pytest.raises(SourceSyntaxError, match="unclosed") as e:
+            parse("(a\n  (b)")
+        assert e.value.line == 1 and e.value.column == 1
+        with pytest.raises(SourceSyntaxError, match="unmatched") as e2:
+            parse("(a))")
+        assert e2.value.line == 1 and e2.value.column == 4
 
 
 def test_sexpr_positions_after_tabs_returns_and_comments():
     # A tab and a carriage return each count as one column.
-    (form,) = parse_sexprs("(a\tb) ; trailing\r\n")
-    assert [(x.line, x.col) for x in form.items] == [(1, 2), (1, 4)]
-    with pytest.raises(SourceSyntaxError) as e:
-        parse_sexprs("(a\tb) ; trailing\r\n\t\r )")
+    text = "(a\tb) ; trailing\r\n"
+    assert [_position(text, i) for i in (1, 2)] == [(1, 2), (1, 4)]
+    with pytest.raises(SourceSyntaxError, match="unmatched") as e:
+        parse_problem("(a\tb) ; trailing\r\n\t\r )")
     assert e.value.line == 2 and e.value.column == 4
 
 
 def test_sexpr_comments_ignored():
-    forms = parse_sexprs("; comment\n(a b) ; trailing\n")
-    assert len(forms) == 1
+    assert _tokens("; comment\n(a b) ; trailing\n") == ["(", "a", "b", ")"]
+
+
+def _read_type(text):
+    sig, p = parse_problem(f"(signature) (vars (x {text})) (constraints)")
+    return p.env["x"]
+
+
+def _read_term(text):
+    sig, p = parse_problem(f"(signature) (vars) (constraints (eq {text} x))")
+    return p.constraints[0].lhs
 
 
 def test_parse_type_round_trip():
@@ -70,10 +80,8 @@ def test_parse_type_round_trip():
         ("(abs (name A) unit)", AbsT("A", UNIT_T)),
         ("(pair unit (name A))", TupleT((UNIT_T, NameSortT("A")))),
     ]:
-        (sx,) = parse_sexprs(text)
-        assert parse_type(sx) == ty
-        (sx2,) = parse_sexprs(str(ty))
-        assert parse_type(sx2) == ty
+        assert _read_type(text) == ty
+        assert _read_type(str(ty)) == ty
 
 
 def test_parse_term_round_trip():
@@ -84,10 +92,8 @@ def test_parse_term_round_trip():
         ("(con K unit)", SApp("K", SUNIT)),
         ("(tuple x unit)", STuple((Var("x"), SUNIT))),
     ]:
-        (sx,) = parse_sexprs(text)
-        assert parse_term(sx) == t
-        (sx2,) = parse_sexprs(str(t))
-        assert parse_term(sx2) == t
+        assert _read_term(text) == t
+        assert _read_term(str(t)) == t
 
 
 def test_problem_files_round_trip():
@@ -250,6 +256,49 @@ def test_bad_declaration_is_reported_where_it_is(tmp_path, capsys, text,
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(signature (name-sort A) (con K unit A)) (vars) (constraints)",
+     "1:26: constructor K targets undeclared data sort A"),
+    ("(signature (data-sort D)\n  (con K (pair (name B) (data D)) D))\n"
+     "(vars)\n(constraints)",
+     "2:3: constructor K uses undeclared name sorts ['B']"),
+    ("(signature (data-sort D) (con Z unit D)\n"
+     "  (con K (abs (name nm) (data E)) D) (name-sort nm))\n"
+     "(vars)\n(constraints)",
+     "2:3: constructor K uses undeclared data sorts ['E']"),
+], ids=["target", "name sort", "data sort"])
+def test_constructor_sort_error_is_reported_where_it_is(tmp_path, capsys,
+                                                        text, message):
+    path = tmp_path / "bad.np"
+    path.write_text(text)
+    for command in ("check", "solve"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_sorts_may_be_declared_after_their_constructors():
+    sig, _ = parse_problem("(signature (con S (data N) N) (con Z unit N))\n"
+                           "(vars) (signature (data-sort N)) (constraints)")
+    assert sig.data_sorts == {"N"} and set(sig.constructors) == {"S", "Z"}
+
+
+def test_translate_eu_output_reads_back(tmp_path, capsys):
+    # The translation keeps declared names as variable names, and the .np
+    # reader reads `unit` as a term, so `.eu` files may not declare it.
+    path = tmp_path / "unit.eu"
+    path.write_text("(eu (names unit) (name-vars v) (perm-vars) "
+                    "(constraints (eq v unit)))")
+    for command in ("check", "translate-eu"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == "error: 1:12: unit cannot be a name\n"
+    path.write_text("(eu (names u) (name-vars unit) (perm-vars) "
+                    "(constraints (eq unit u)))")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2 and err == "error: 1:26: unit cannot be a variable\n"
+
+
 def test_budget_exhaustion_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(PROBLEMS / "swap-pair-fresh.np"),
                        "--budget", "0")
@@ -372,3 +421,27 @@ def test_solve_deep_term(tmp_path, capsys):
     path.write_text(text)
     code, out, _ = run(capsys, "solve", str(path))
     assert code == 0 and out.startswith("result: sat")
+
+
+def test_reader_has_no_nesting_limit():
+    # Only the checks behind the reader recurse; they turn the numeral of
+    # test_deep_numeral_is_a_resource_limit into exit 3.
+    numeral = "(con Z unit)"
+    for _ in range(3000):
+        numeral = f"(con S {numeral})"
+    ty = "unit"
+    for _ in range(3000):
+        ty = f"(abs (name nm) (pair unit {ty}))"
+    _, p = parse_problem("(signature (name-sort nm) (data-sort nat)\n"
+                         "  (con Z unit nat) (con S (data nat) nat))\n"
+                         f"(vars (x (data nat)) (y {ty}))\n"
+                         f"(constraints (eq x {numeral}))\n")
+    t, depth = p.constraints[0].rhs, 0
+    while isinstance(t, SApp) and t.con == "S":
+        t, depth = t.arg, depth + 1
+    assert depth == 3000 and t == SApp("Z", SUNIT)
+    ty, depth = p.env["y"], 0
+    while isinstance(ty, AbsT):
+        assert ty.binder == "nm" and ty.body.items[0] == UNIT_T
+        ty, depth = ty.body.items[1], depth + 1
+    assert depth == 3000 and ty == UNIT_T

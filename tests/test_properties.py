@@ -7,6 +7,7 @@ import re
 import sys
 import tempfile
 from functools import reduce
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -26,13 +27,15 @@ from npnas.kernel import (
     realize,
     swap,
 )
+from npnas import eubridge
 from npnas.cli import (
-    Atom, SList, format_problem, main, parse_eu, parse_problem, parse_sexprs)
+    _position, _tokens, format_problem, main, parse_eu, parse_problem)
 from npnas.decider import decide
 from npnas.errors import NpnasError, SourceSyntaxError
+from npnas.kernel import AbsT, DataSortT, NameSortT, TupleT, UNIT_T, make_signature
 from npnas.oracle import random_eu_problem, random_problem
 from npnas.schematic import (
-    Eq, Fresh, Problem, SAbs, SApp, STuple, Var, satisfies_all)
+    Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var, satisfies_all)
 
 names = st.integers(0, 3).map(lambda i: Name("nm", i))
 
@@ -142,20 +145,28 @@ def _reference_tokens(text):
     return out
 
 
-def _position(text, offset):
+def _line_col(text, offset):
     """1-based line and column; a tab or CR is one column like any other."""
     line = text.count("\n", 0, offset) + 1
     return line, offset - (text.rfind("\n", 0, offset) + 1) + 1
 
 
-def _preorder(forms):
-    """Each node of forms in the order of its first token."""
-    stack = list(reversed(forms))
-    while stack:
-        sx = stack.pop()
-        yield sx
-        if isinstance(sx, SList):
-            stack.extend(reversed(sx.items))
+def _bracket_error(text):
+    """The first ')' with nothing open, or else the innermost '(' left
+    open, as (message, (line, column)); None if the brackets balance."""
+    opens = []
+    for tok, at in _reference_tokens(text):
+        if tok == "(":
+            opens.append(at)
+        elif tok == ")" and not opens:
+            return "unmatched ')'", _line_col(text, at)
+        elif tok == ")":
+            opens.pop()
+    return ("unclosed '('", _line_col(text, opens[-1])) if opens else None
+
+
+def _error(exc):
+    return str(exc).split(": ", 1)[1], (exc.line, exc.column)
 
 
 # Parentheses, atoms, comments, every separator, and a form feed and a
@@ -166,28 +177,29 @@ _reader_texts = st.text(alphabet="()ab; \t\r\n\x0c xé", max_size=60)
 @given(_reader_texts)
 @settings(max_examples=500)
 def test_reader_positions_match_token_offsets(text):
-    expected, opens, error = [], [], None
-    for tok, at in _reference_tokens(text):
-        if tok == ")":
-            if not opens:
-                error = ("unmatched ')'", _position(text, at))
-                break
-            opens.pop()
-            continue
-        if tok == "(":
-            opens.append(at)
-        expected.append((tok, _position(text, at)))
-    if error is None and opens:
-        error = ("unclosed '('", _position(text, opens[-1]))
-    if error is not None:
-        with pytest.raises(SourceSyntaxError) as e:
-            parse_sexprs(text)
-        assert (str(e.value).split(": ", 1)[1],
-                (e.value.line, e.value.column)) == error
-        return
-    got = [(sx.value if isinstance(sx, Atom) else "(", (sx.line, sx.col))
-           for sx in _preorder(parse_sexprs(text))]
-    assert got == expected
+    reference = _reference_tokens(text)
+    assert _tokens(text) == [tok for tok, _ in reference]
+    assert [_position(text, i) for i in range(len(reference))] == [
+        _line_col(text, at) for _, at in reference]
+    error = _bracket_error(text)
+    for parse in (parse_problem, parse_eu):
+        try:
+            parse(text)
+        except SourceSyntaxError as exc:
+            assert error is None or _error(exc) == error
+        except NpnasError:
+            assert error is None
+        else:
+            assert error is None
+
+
+# Every separator str.split() knows besides space, tab, CR and LF: those
+# are parts of atoms, as is any other character that is not `;`.
+@given(st.text(alphabet="()a; \t\r\n\x0b\x0c\x1c\x1f\x85\xa0\u2028é",
+               max_size=40))
+@settings(max_examples=300)
+def test_tokens_match_the_reference_scan(text):
+    assert _tokens(text) == [tok for tok, _ in _reference_tokens(text)]
 
 
 def _valid_texts():
@@ -249,6 +261,350 @@ def test_arbitrary_text_is_accepted_or_an_input_error(text):
                 code = main(["check", str(path)])
             assert code in (0, 2), err.getvalue()
             assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# The reference reader: the two-pass reader the command line had before it
+# read in one pass.  It builds a tree of atoms and lists first, then walks
+# the tree recursively.
+
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+
+
+def _ref_position(text, index):
+    """Line and column of token `index` of text, comments counted."""
+    at = next(islice(_TOKEN.finditer(text), index, None)).start()
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+class Atom:
+    def __init__(self, value, index, text):
+        self.value, self.index, self.text = value, index, text
+
+    def error(self, message):
+        return SourceSyntaxError(message, *_ref_position(self.text, self.index))
+
+
+class SList(Atom):
+    def __init__(self, items, index, text):
+        self.items, self.index, self.text = items, index, text
+
+
+def parse_sexprs(text):
+    stack, opens, top = [], [], []
+    for i, tok in enumerate(_TOKEN.findall(text)):
+        if tok == "(":
+            stack.append(top)
+            opens.append(i)
+            top = []
+        elif tok == ")":
+            if not stack:
+                raise SourceSyntaxError("unmatched ')'",
+                                        *_ref_position(text, i))
+            done = SList(tuple(top), opens.pop(), text)
+            top = stack.pop()
+            top.append(done)
+        elif tok[0] != ";":
+            top.append(Atom(tok, i, text))
+    if stack:
+        raise SourceSyntaxError("unclosed '('",
+                                *_ref_position(text, opens[-1]))
+    return top
+
+
+def _want_atom(sx, what):
+    if isinstance(sx, SList):
+        raise sx.error(f"expected {what}")
+    return sx.value
+
+
+def _want_list(sx, what):
+    if not isinstance(sx, SList):
+        raise sx.error(f"expected {what}")
+    return sx
+
+
+def _head(sx):
+    if not sx.items or isinstance(sx.items[0], SList):
+        raise sx.error("expected a keyword after '('")
+    return sx.items[0].value
+
+
+def ref_parse_type(sx):
+    if not isinstance(sx, SList):
+        if sx.value == "unit":
+            return UNIT_T
+        raise sx.error(f"unknown type {sx.value}")
+    match _head(sx), len(sx.items):
+        case "name", 2:
+            return NameSortT(_want_atom(sx.items[1], "a sort name"))
+        case "data", 2:
+            return DataSortT(_want_atom(sx.items[1], "a sort name"))
+        case "abs", 3:
+            binder = _want_list(sx.items[1], "(name SYM)")
+            if _head(binder) != "name" or len(binder.items) != 2:
+                raise binder.error("binder type must be (name SYM)")
+            return AbsT(_want_atom(binder.items[1], "a sort name"),
+                        ref_parse_type(sx.items[2]))
+        case "pair", n if n >= 3:
+            return TupleT(tuple(ref_parse_type(t) for t in sx.items[1:]))
+    raise sx.error("malformed type")
+
+
+def ref_parse_term(sx):
+    if not isinstance(sx, SList):
+        return SUNIT if sx.value == "unit" else Var(sx.value)
+    match _head(sx), len(sx.items):
+        case "abs", 3:
+            return SAbs(_want_atom(sx.items[1], "a binder variable"),
+                        ref_parse_term(sx.items[2]))
+        case "con", 3:
+            return SApp(_want_atom(sx.items[1], "a constructor name"),
+                        ref_parse_term(sx.items[2]))
+        case "tuple", n if n >= 3:
+            return STuple(tuple(ref_parse_term(t) for t in sx.items[1:]))
+    raise sx.error("malformed term")
+
+
+def _ref_constraint(sx):
+    sx = _want_list(sx, "a constraint")
+    match _head(sx), len(sx.items):
+        case "eq", 3:
+            return Eq(ref_parse_term(sx.items[1]), ref_parse_term(sx.items[2]))
+        case "fresh", 3:
+            return Fresh(_want_atom(sx.items[1], "a variable"),
+                         ref_parse_term(sx.items[2]))
+    raise sx.error("malformed constraint")
+
+
+def _declare_sort(sorts, others, item, what):
+    sort = _want_atom(item.items[1], "a sort name")
+    if sort in sorts:
+        raise item.error(f"{what} {sort} declared twice")
+    if sort in others:
+        raise item.error(f"sort {sort} declared as both name sort and data sort")
+    sorts.append(sort)
+
+
+def ref_parse_problem(text):
+    name_sorts, data_sorts, cons, env, constraints = [], [], {}, {}, []
+    seen = set()
+    for form in parse_sexprs(text):
+        form = _want_list(form, "a top-level form")
+        match _head(form):
+            case "signature":
+                for item in form.items[1:]:
+                    item = _want_list(item, "a signature entry")
+                    match _head(item), len(item.items):
+                        case "name-sort", 2:
+                            _declare_sort(name_sorts, data_sorts, item,
+                                          "name sort")
+                        case "data-sort", 2:
+                            _declare_sort(data_sorts, name_sorts, item,
+                                          "data sort")
+                        case "con", 4:
+                            k = _want_atom(item.items[1], "a constructor name")
+                            if k in cons:
+                                raise item.error(f"constructor {k} declared twice")
+                            cons[k] = (ref_parse_type(item.items[2]),
+                                       _want_atom(item.items[3], "a sort name"))
+                        case _:
+                            raise item.error("malformed signature entry")
+            case "vars":
+                for item in form.items[1:]:
+                    item = _want_list(item, "a variable declaration")
+                    if len(item.items) != 2:
+                        raise item.error("expected (SYM TYPE)")
+                    x = _want_atom(item.items[0], "a variable")
+                    if x == "unit":
+                        raise item.error("unit is a term, not a variable name")
+                    if x in env:
+                        raise item.error(f"variable {x} declared twice")
+                    env[x] = ref_parse_type(item.items[1])
+            case "constraints":
+                constraints.extend(map(_ref_constraint, form.items[1:]))
+            case other:
+                raise form.error(f"unknown form {other}")
+        seen.add(form.items[0].value)
+    if len(seen) < 3:
+        raise SourceSyntaxError(
+            "a problem needs signature, vars and constraints forms", 1, 1)
+    return (make_signature(name_sorts, data_sorts, cons),
+            Problem(env, tuple(constraints)))
+
+
+def _ref_nt(sx):
+    if not isinstance(sx, SList):
+        return eubridge.Vertex(sx.value)
+    if _head(sx) == "app" and len(sx.items) == 3:
+        return eubridge.Susp(_ref_perm(sx.items[1]), _ref_nt(sx.items[2]))
+    raise sx.error("malformed name-term")
+
+
+def _ref_perm(sx):
+    if not isinstance(sx, SList):
+        return eubridge.PIdent() if sx.value == "id" else eubridge.PVar(sx.value)
+    if _head(sx) == "swap" and len(sx.items) == 3:
+        return eubridge.PSwap(_ref_nt(sx.items[1]), _ref_nt(sx.items[2]))
+    raise sx.error("malformed permutation")
+
+
+def ref_parse_eu(text):
+    forms = parse_sexprs(text)
+    if len(forms) != 1:
+        raise SourceSyntaxError("expected a single (eu ...) form", 1, 1)
+    form = _want_list(forms[0], "(eu ...)")
+    if _head(form) != "eu":
+        raise form.error("expected (eu ...)")
+    sections = {"names": [], "name-vars": [], "perm-vars": []}
+    constraints = []
+    for part in form.items[1:]:
+        part = _want_list(part, "an eu section")
+        match _head(part):
+            case "names" | "name-vars" | "perm-vars" as name:
+                what = "a name" if name == "names" else "a variable"
+                sections[name] += [_want_atom(a, what) for a in part.items[1:]]
+            case "constraints":
+                for c in part.items[1:]:
+                    c = _want_list(c, "a constraint")
+                    match _head(c), len(c.items):
+                        case "eq", 3:
+                            constraints.append(eubridge.EUEq(
+                                _ref_nt(c.items[1]), _ref_nt(c.items[2])))
+                        case "fresh", 3:
+                            constraints.append(eubridge.EUFresh(
+                                _ref_nt(c.items[1]), _ref_nt(c.items[2])))
+                        case _:
+                            raise c.error("malformed constraint")
+            case other:
+                raise part.error(f"unknown eu section {other}")
+    p = eubridge.EUProblem(*map(tuple, sections.values()), tuple(constraints))
+    eubridge.validate_eu(p)
+    return p
+
+
+# Errors the reader must report as the reference does, message, line and
+# column alike.  The reference sees a form's length before its items, so
+# where it calls a form of the wrong length malformed, the one-pass reader
+# may find a declaration error inside it first.
+_EXACT = re.compile(r"^(unmatched|unclosed|.* declared (twice|as both)"
+                    r"|unit is a term)")
+_DECLARATIONS = (
+    "(signature (name-sort A) (data-sort D))\n"
+    "(vars (x (name A))\n      (x (data D)))\n(constraints)",
+    "(signature (data-sort D)\n  (con K unit D)\n  (con K (data D) D))\n"
+    "(vars)\n(constraints)",
+    "(signature (name-sort A) (data-sort D) (con K unit D)\n"
+    "  (name-sort A))\n(vars)\n(constraints)",
+    "(signature (name-sort A)\n  (data-sort A) (con K unit A))\n"
+    "(vars)\n(constraints)",
+    "(signature (name-sort A))\n(vars (y (name A))\n      (unit (name A)))\n"
+    "(constraints)",
+    "(signature (name-sort A) (con K unit A)) (vars) (constraints)",
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except NpnasError as exc:
+        return exc
+
+
+def _agrees_with_reference(text):
+    for ref, new in ((ref_parse_problem, parse_problem),
+                     (ref_parse_eu, parse_eu)):
+        want, got = _outcome(ref, text), _outcome(new, text)
+        if not isinstance(want, NpnasError):
+            # Only the .eu reader's rule against declaring unit is new.
+            if (isinstance(got, SourceSyntaxError)
+                    and "unit cannot be" in str(got)):
+                assert "unit" in (*want.names, *want.name_vars,
+                                  *want.perm_vars)
+            else:
+                assert got == want
+        elif isinstance(want, SourceSyntaxError) and _EXACT.match(
+                _error(want)[0]):
+            assert isinstance(got, SourceSyntaxError)
+            assert _error(got) == _error(want)
+        else:
+            assert isinstance(got, NpnasError)
+
+
+@given(_texts)
+@settings(max_examples=500, deadline=None)
+def test_reader_agrees_with_the_reference(text):
+    _agrees_with_reference(text)
+
+
+def _shapes():
+    """Small problems with each form of the grammar well and badly shaped."""
+    np = ("(signature (name-sort A) (data-sort D) (con K unit D) {sig})\n"
+          "(vars (a (name A)) (x (data D)) {vars})\n(constraints {cs})")
+    types = ("unit", "bar", "(name A)", "(name)", "(name A B)", "(name (A))",
+             "(data D)", "(pair unit)", "(pair)", "(pair unit (name A))",
+             "(abs (name A) unit)", "(abs (name A))", "(abs (name A) unit unit)",
+             "(abs (data A) unit)", "(abs A unit)", "(abs (name) unit)",
+             "(abs (name A B) unit)", "(abs ((name A)) unit)", "(foo)", "()",
+             "(())")
+    terms = ("x", "unit", "(tuple x x)", "(tuple x)", "(tuple)", "(abs a x)",
+             "(abs a)", "(abs a x x)", "(abs (a) x)", "(abs unit x)",
+             "(con K unit)", "(con K)", "(con K unit unit)", "(con (K) unit)",
+             "(foo x)", "()", "(unit)")
+    constraints = ("(eq x)", "(eq)", "(eq x x x)", "(fresh a)", "(fresh a x)",
+                   "(fresh (a) x)", "(fresh a x x)", "(neq x x)", "()", "x")
+    entries = ("(name-sort)", "(name-sort B C)", "(data-sort (B))",
+               "(con L unit)", "(con L unit D E)", "(con (L) unit D)",
+               "(con L unit (D))", "(foo)", "x")
+    declarations = ("(y)", "(y unit unit)", "((y) unit)", "y")
+    texts = [np.format(sig="", vars=f"(y {ty})", cs="") for ty in types]
+    texts += [np.format(sig="", vars="", cs=f"(eq x {t})") for t in terms]
+    texts += [np.format(sig="", vars="", cs=c) for c in constraints]
+    texts += [np.format(sig=e, vars="", cs="") for e in entries]
+    texts += [np.format(sig="", vars=d, cs="") for d in declarations]
+    eu = "(eu (names c) (name-vars A B) (perm-vars Q) (constraints {}))"
+    name_terms = ("A", "(app id A)", "(app Q A)", "(app)", "(app Q)",
+                  "(app id A B)", "(app (swap A B) c)", "(app (swap A) c)",
+                  "(app (swap A B c) c)", "(app (app id A) B)", "(swap A B)",
+                  "(app (swap (app Q A) B) c)", "(app Q (app Q A))", "(foo)",
+                  "()")
+    texts += [eu.format(f"(eq A {nt})") for nt in name_terms]
+    texts += [eu.format(c) for c in constraints]
+    return texts
+
+
+_SHAPED = _DECLARATIONS + tuple(_shapes())
+
+
+@pytest.mark.parametrize("text", _SHAPED,
+                         ids=[f"text{i}" for i in range(len(_SHAPED))])
+def test_shaped_forms_read_as_the_reference_reads_them(text):
+    _agrees_with_reference(text)
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parent.parent / "problems").iterdir()),
+    ids=lambda path: path.name)
+def test_problem_files_read_as_the_reference_reads_them(path):
+    text = path.read_text(encoding="utf-8")
+    _agrees_with_reference(text)
+    parse = parse_eu if path.suffix == ".eu" else parse_problem
+    assert not isinstance(_outcome(parse, text), NpnasError)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_formatted_problem_reads_back(seed):
+    sig, p = random_problem(random.Random(seed), 6, 5)
+    assert parse_problem(format_problem(sig, p)) == (sig, p)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_translated_eu_problem_reads_back(seed):
+    p = eubridge.translate_eu(random_eu_problem(random.Random(seed)))
+    text = format_problem(eubridge.EU_SIGNATURE, p)
+    assert parse_problem(text) == (eubridge.EU_SIGNATURE, p)
 
 
 # ---------------------------------------------------------------------------
