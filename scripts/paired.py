@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Time the `npnas solve` path at two checkouts in alternating rounds.
 
-    python scripts/paired.py PARENT CHANGE [--family np|eu] [--pairs N]
+    python scripts/paired.py PARENT CHANGE [--family np|eu|deep] [--pairs N]
 
 PARENT and CHANGE are checkouts of this repository (directories that hold
 src/npnas).  The input is built once, by PARENT's generators: 4,000
-`random_problem` of seed 1 written with `format_problem` (family np), or
-300 `random_eu_problem` of seed 10 written as .eu text (family eu).  One
-worker process per checkout gets the same texts; it runs with
-PYTHONHASHSEED=0 and that checkout's src first on its path.  A round reads,
-decides and renders every text once, as `npnas solve` does for one file,
-and its time is the sum of the per-file times.  After one warm-up round
-each, rounds alternate in ABBA order (parent, change, change, parent, ...),
-so drift on a shared host falls on both sides alike; pair k is the k-th
-timed round of each side.
+`random_problem` of seed 1 written with `format_problem` (family np),
+300 `random_eu_problem` of seed 10 written as .eu text (family eu), or the
+40 texts of `np_deep()` in PARENT's perfbench/workloads.py (family deep;
+only that file of the benchmark is read).  One worker process per checkout
+gets the same texts; it runs with PYTHONHASHSEED=0 and that checkout's src
+first on its path.  A round reads, decides and renders every text once, as
+`npnas solve` does for one file, and its time is the sum of the per-file
+times.  After one warm-up round each, rounds alternate in ABBA order
+(parent, change, change, parent, ...), so drift on a shared host falls on
+both sides alike; pair k is the k-th timed round of each side.
 
 It prints each side's median round time with its quartiles, and the median
 and quartiles of the per-pair ratio change / parent.  It exits 1 if the two
@@ -30,9 +31,11 @@ import sys
 def worker() -> None:
     """Serve one JSON request per line of stdin with one JSON line."""
     import gc
+    import importlib.util
     import random
     import time
 
+    import npnas
     from npnas import cli, eubridge
     from npnas.decider import decide
     from npnas.kernel import realize
@@ -72,6 +75,15 @@ def worker() -> None:
                 rng = random.Random(1)
                 out = [cli.format_problem(*random_problem(rng))
                        for _ in range(4000)]
+            elif req["family"] == "deep":
+                root = os.path.dirname(os.path.dirname(
+                    os.path.dirname(os.path.abspath(npnas.__file__))))
+                spec = importlib.util.spec_from_file_location(
+                    "workloads", os.path.join(root, "perfbench", "workloads.py"))
+                workloads = importlib.util.module_from_spec(spec)
+                sys.modules["workloads"] = workloads  # its dataclass looks here
+                spec.loader.exec_module(workloads)
+                out = [item.text for item in workloads.np_deep()]
             else:
                 rng = random.Random(10)
                 out = [render_eu(random_eu_problem(rng)) for _ in range(300)]
@@ -141,7 +153,7 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--family", choices=("np", "eu"), default="np")
+    ap.add_argument("--family", choices=("np", "eu", "deep"), default="np")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
     parent, change = Side("parent", args.parent), Side("change", args.change)

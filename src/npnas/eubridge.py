@@ -117,29 +117,23 @@ def validate_eu(p: EUProblem) -> None:
     if len(set(decl)) != len(decl):
         raise ValidationError("duplicate symbol declarations")
     verts = set(p.names) | set(p.name_vars)
-
-    def check_nt(nt: NameTerm) -> None:
+    # Name-terms in prefix order, left to right: the last item is next.
+    todo = [nt for c in reversed(p.constraints) for nt in (c.rhs, c.lhs)]
+    while todo:
+        nt = todo.pop()
         if isinstance(nt, Vertex):
             if nt.sym not in verts:
                 raise UndeclaredSymbol(f"undeclared vertex {nt.sym}")
-            return
+            continue
         perm = nt.perm
         if isinstance(perm, PVar) and perm.sym not in p.perm_vars:
             raise UndeclaredSymbol(f"undeclared permutation variable {perm.sym}")
+        todo.append(nt.target)
         if isinstance(perm, PSwap):
-            check_nt(perm.a)
-            check_nt(perm.b)
-            check_nt(nt.target)
-            return
-        # Identity and permutation-variable suspensions act on vertices only.
-        if not isinstance(nt.target, Vertex):
+            todo += (perm.b, perm.a)
+        elif not isinstance(nt.target, Vertex):  # id and Q act on vertices only
             raise PhaseTwoViolation(
                 f"suspension target must be a vertex: {nt}")
-        check_nt(nt.target)
-
-    for c in p.constraints:
-        check_nt(c.lhs)
-        check_nt(c.rhs)
 
 
 # ---------------------------------------------------------------------------

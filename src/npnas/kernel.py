@@ -5,21 +5,25 @@ All values here are immutable and all operations are pure functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import wraps
+from dataclasses import dataclass, field
+from functools import partial, wraps
 from typing import Mapping, Union
 
 from .errors import (
     SortMismatch, TypeMismatch, UndeclaredSort, Uninhabited, ValidationError)
 
 # ---------------------------------------------------------------------------
-# Memoisation
+# Facts of immutable values
+
+# A field set in __post_init__, when the value is built; not in ==, hash or repr.
+derived = partial(field, init=False, repr=False, compare=False)
+
 
 def memo_on_object(fn):
     """Memoise a one-argument function on immutable values by storing the
-    result in the argument's own __dict__ (signatures, alpha-tree nodes,
-    terms, constraints and problems are frozen dataclasses without
-    __slots__), so it lives and dies with the object."""
+    result in the argument's own __dict__, so it lives and dies with the
+    object.  It holds the rule-level facts (`rewrite._split_eq`,
+    `clash_kind` and `shared_vars`) and the memo-key `decider._tokens`."""
     key = f"_memo_{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
@@ -95,6 +99,13 @@ class Signature:
     name_sorts: frozenset[str]
     data_sorts: frozenset[str]
     constructors: Mapping[str, tuple[Type, str]]  # K -> (arg type, result sort)
+    arg_sorts: Mapping[str, tuple[set[str], set[str]]] = derived()  # K -> type_sorts(arg)
+    builders: Mapping[str, str] = derived()  # data sort -> K building its inhabitant
+
+    def __post_init__(self):  # one type_sorts walk per constructor
+        object.__setattr__(self, "arg_sorts", {
+            con: type_sorts(arg) for con, (arg, _) in self.constructors.items()})
+        object.__setattr__(self, "builders", _builders(self))
 
     def arg_type(self, con: str) -> Type:
         return self.constructors[con][0]
@@ -129,19 +140,18 @@ def validate_signature(sig: Signature) -> None:
     overlap = sig.name_sorts & sig.data_sorts
     if overlap:
         raise ValidationError(f"sorts declared as both name and data: {sorted(overlap)}")
-    for con, (arg, res) in sig.constructors.items():
+    for con, (_, res) in sig.constructors.items():
         if res not in sig.data_sorts:
             raise UndeclaredSort(con, f"constructor {con} targets undeclared data sort {res}")
-        names, datas = type_sorts(arg)
+        names, datas = sig.arg_sorts[con]
         if not names <= sig.name_sorts:
             raise UndeclaredSort(con, f"constructor {con} uses undeclared name sorts {sorted(names - sig.name_sorts)}")
         if not datas <= sig.data_sorts:
             raise UndeclaredSort(con, f"constructor {con} uses undeclared data sorts {sorted(datas - sig.data_sorts)}")
     # Standing assumption: every type over the signature has a ground tree,
     # which holds iff every data sort does.
-    builders = _builders(sig)
     for d in sorted(sig.data_sorts):
-        if d not in builders:
+        if d not in sig.builders:
             raise Uninhabited(DataSortT(d))
 
 
@@ -153,6 +163,10 @@ class Name:
     """A permutative name: (sort, index) out of a countable per-sort pool."""
     sort: str
     index: int
+
+    @property
+    def names(self) -> frozenset[Name]:  # as an alpha-tree node
+        return frozenset((self,))
 
     def __str__(self):
         return f"n{self.index}@{self.sort}"
@@ -333,28 +347,43 @@ def alpha_eq(g1: GroundTree, g2: GroundTree) -> bool:
 class ABound:
     """Bound occurrence: number of binders between it and its binder."""
     depth: int
+    names = frozenset()
 
 
 @dataclass(frozen=True)
 class AUnit:
-    pass
+    names = frozenset()
 
+
+# Free names: a binder is nameless, so an AAbs has those of its body.
 
 @dataclass(frozen=True)
 class ATuple:
     items: tuple["ANode", ...]
+    names: frozenset[Name] = derived()
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", frozenset().union(*[a.names for a in self.items]))
 
 
 @dataclass(frozen=True)
 class AApp:
     con: str
     arg: "ANode"
+    names: frozenset[Name] = derived()
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", self.arg.names)
 
 
 @dataclass(frozen=True)
 class AAbs:
     sort: str
     body: "ANode"
+    names: frozenset[Name] = derived()
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", self.body.names)
 
 
 ANode = Union[Name, ABound, AUnit, ATuple, AApp, AAbs]
@@ -369,7 +398,7 @@ class AlphaTree:
     node: ANode
 
     def free_names(self) -> frozenset[Name]:
-        return anode_free_names(self.node)
+        return self.node.names
 
     def is_name(self) -> bool:
         return isinstance(self.node, Name)
@@ -378,22 +407,6 @@ class AlphaTree:
         if not isinstance(self.node, Name):
             raise TypeMismatch("alpha-tree is not a bare name")
         return self.node
-
-
-_NO_NAMES: frozenset[Name] = frozenset()
-
-
-@memo_on_object
-def anode_free_names(a: ANode) -> frozenset[Name]:
-    """The free names of a node, kept on the node, so a shared subtree is
-    walked once."""
-    if isinstance(a, Name):
-        return frozenset([a])
-    if isinstance(a, (ABound, AUnit)):
-        return _NO_NAMES
-    if isinstance(a, ATuple):
-        return _NO_NAMES.union(*map(anode_free_names, a.items))
-    return anode_free_names(a.arg if isinstance(a, AApp) else a.body)
 
 
 def canonicalize(g: GroundTree) -> AlphaTree:
@@ -452,17 +465,12 @@ def realize(a: AlphaTree, avoid: frozenset[Name] = frozenset()) -> GroundTree:
     return go(a.node, [])
 
 
-def atree_fresh(n: Name, a: AlphaTree) -> bool:
-    return n not in a.free_names()
-
-
 # ---------------------------------------------------------------------------
 # Inhabitants
 
-@memo_on_object
 def _builders(sig: Signature) -> dict[str, str]:
     """Data sort -> the constructor that builds its inhabitant; a sort
-    without ground trees has no entry.  Built once per signature.
+    without ground trees has no entry.  Built once, with the signature.
 
     A sort's rank is the round in which it becomes inhabited, and a round
     reads only the sorts of earlier rounds.  So a builder's argument
@@ -471,14 +479,12 @@ def _builders(sig: Signature) -> dict[str, str]:
     those whose argument has the least rank (the highest rank among its data
     sorts); the first by name builds it.
     """
-    needs = {con: type_sorts(arg)[1]
-             for con, (arg, _) in sig.constructors.items()}
     builders: dict[str, str] = {}
     todo = sorted(sig.constructors.items())
     while todo:
         found: dict[str, str] = {}
         for con, (_, res) in todo:
-            if res not in found and needs[con] <= builders.keys():
+            if res not in found and sig.arg_sorts[con][1] <= builders.keys():
                 found[res] = con
         if not found:
             break
@@ -493,7 +499,7 @@ def inhabitant(sig: Signature, ty: Type, start_index: int = 0) -> GroundTree:
     Raises Uninhabited when the signature violates the standing assumption
     (make_signature already rejects such signatures up front).
     """
-    builders = _builders(sig)
+    builders = sig.builders
 
     def go(t: Type) -> GroundTree:
         if isinstance(t, NameSortT):

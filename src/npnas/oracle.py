@@ -30,7 +30,6 @@ from .kernel import (
     Type,
     UNIT_T,
     UnitT,
-    type_sorts,
 )
 from .schematic import (
     Constraint,
@@ -102,8 +101,8 @@ def enumerate_atrees(sig: Signature, ty: Type, max_size: int,
 
 def _data_deps(sig: Signature) -> dict[str, set[str]]:
     deps: dict[str, set[str]] = {d: set() for d in sig.data_sorts}
-    for con, (arg, res) in sig.constructors.items():
-        deps[res] |= type_sorts(arg)[1]
+    for con, (_, res) in sig.constructors.items():
+        deps[res] |= sig.arg_sorts[con][1]
     return deps
 
 

@@ -28,10 +28,8 @@ from .schematic import (
     Term,
     Var,
     abs_prefix,
-    constraint_vars,
     problem_vars,
     subst_constraint,
-    term_vars,
     wrap_abs,
 )
 
@@ -76,7 +74,7 @@ def clash_kind(c: Constraint) -> str | None:
     if isinstance(bl, Var) != isinstance(br, Var):
         x = bl if isinstance(bl, Var) else br
         t = br if isinstance(bl, Var) else bl
-        if x.name in term_vars(t):
+        if x.name in t.vars:
             return CLASH_ABS_OCCURS if xs else CLASH_OCCURS
     elif isinstance(bl, SApp) and isinstance(br, SApp) and bl.con != br.con:
         return CLASH_CON
@@ -290,9 +288,9 @@ def shared_vars(p: Problem) -> frozenset[str]:
     the constraints, which never change, so each problem counts them once."""
     seen: set[str] = set()
     shared: set[str] = set()
-    for vs in map(constraint_vars, p.constraints):
-        shared |= seen & vs
-        seen |= vs
+    for c in p.constraints:
+        shared |= seen & c.vars
+        seen |= c.vars
     return frozenset(shared)
 
 

@@ -39,18 +39,20 @@ from .kernel import (
     TupleT,
     Type,
     UNIT_T,
-    anode_free_names,
-    atree_fresh,
-    memo_on_object,
+    derived,
     type_sorts,
 )
 
 # ---------------------------------------------------------------------------
-# Terms
+# Terms (each term and constraint carries `vars`: its variables, binders too)
 
 @dataclass(frozen=True)
 class Var:
     name: str
+    vars: frozenset[str] = derived()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vars", frozenset((self.name,)))
 
     def __str__(self):
         return self.name
@@ -58,6 +60,8 @@ class Var:
 
 @dataclass(frozen=True)
 class SUnit:
+    vars = frozenset()
+
     def __str__(self):
         return "unit"
 
@@ -65,6 +69,10 @@ class SUnit:
 @dataclass(frozen=True)
 class STuple:
     items: tuple["Term", ...]
+    vars: frozenset[str] = derived()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vars", frozenset().union(*[t.vars for t in self.items]))
 
     def __str__(self):
         return "(tuple " + " ".join(str(t) for t in self.items) + ")"
@@ -74,6 +82,10 @@ class STuple:
 class SApp:
     con: str
     arg: "Term"
+    vars: frozenset[str] = derived()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vars", self.arg.vars)
 
     def __str__(self):
         return f"(con {self.con} {self.arg})"
@@ -84,6 +96,10 @@ class SAbs:
     """Abstraction; the binder position only ever holds a variable."""
     binder: str
     body: "Term"
+    vars: frozenset[str] = derived()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vars", self.body.vars | {self.binder})
 
     def __str__(self):
         return f"(abs {self.binder} {self.body})"
@@ -92,22 +108,6 @@ class SAbs:
 Term = Union[Var, SUnit, STuple, SApp, SAbs]
 
 SUNIT = SUnit()
-
-
-@memo_on_object
-def term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset([t.name])
-    if isinstance(t, SUnit):
-        return frozenset()
-    if isinstance(t, STuple):
-        out: frozenset[str] = frozenset()
-        for item in t.items:
-            out |= term_vars(item)
-        return out
-    if isinstance(t, SApp):
-        return term_vars(t.arg)
-    return term_vars(t.body) | {t.binder}
 
 
 def abs_prefix(t: Term) -> tuple[tuple[str, ...], Term]:
@@ -132,6 +132,10 @@ def wrap_abs(binders: tuple[str, ...], core: Term) -> Term:
 class Eq:
     lhs: Term
     rhs: Term
+    vars: frozenset[str] = derived()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vars", self.lhs.vars | self.rhs.vars)
 
     def __str__(self):
         return f"(eq {self.lhs} {self.rhs})"
@@ -142,19 +146,16 @@ class Fresh:
     """The value of var (a name) must not occur free in the target's value."""
     var: str
     target: Term
+    vars: frozenset[str] = derived()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vars", self.target.vars | {self.var})
 
     def __str__(self):
         return f"(fresh {self.var} {self.target})"
 
 
 Constraint = Union[Eq, Fresh]
-
-
-@memo_on_object
-def constraint_vars(c: Constraint) -> frozenset[str]:
-    if isinstance(c, Eq):
-        return term_vars(c.lhs) | term_vars(c.rhs)
-    return term_vars(c.target) | {c.var}
 
 
 Env = Mapping[str, Type]
@@ -170,7 +171,7 @@ class Problem:
 
 
 def problem_vars(p: Problem) -> frozenset[str]:
-    return frozenset().union(*map(constraint_vars, p.constraints))
+    return frozenset().union(*[c.vars for c in p.constraints])
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +241,9 @@ def subst_term(t: Term, x: str, r: Term) -> Term:
 
     Binder positions only accept variables, so substituting a compound term
     for a variable that occurs as a binder is rejected.  Subterms without x
-    are returned themselves, so they keep their memoised facts.
+    are returned themselves, so they keep their facts and memos.
     """
-    if x not in term_vars(t):
+    if x not in t.vars:
         return t
     if isinstance(t, Var):
         return r
@@ -260,7 +261,7 @@ def subst_term(t: Term, x: str, r: Term) -> Term:
 
 
 def subst_constraint(c: Constraint, x: str, r: Term) -> Constraint:
-    if x not in constraint_vars(c):
+    if x not in c.vars:
         return c
     if isinstance(c, Eq):
         return Eq(subst_term(c.lhs, x, r), subst_term(c.rhs, x, r))
@@ -298,7 +299,7 @@ def _instantiate(V: Valuation, t: Term, binders: list[Name]) -> ANode:
         node = V[t.name].node
         if not binders:
             return node
-        free = anode_free_names(node)
+        free = node.names
         captured: dict[Name, int] = {}
         for distance, n in enumerate(reversed(binders)):
             if n in free:
@@ -327,7 +328,7 @@ def _capture(node: ANode, captured: Mapping[Name, int], depth: int) -> ANode:
     if isinstance(node, Name):
         outer = captured.get(node)
         return node if outer is None else ABound(depth + outer)
-    if captured.keys().isdisjoint(anode_free_names(node)):
+    if captured.keys().isdisjoint(node.names):
         return node
     if isinstance(node, ATuple):
         return ATuple(tuple(_capture(item, captured, depth)
@@ -342,7 +343,7 @@ def satisfies(V: Valuation, c: Constraint) -> bool:
         return instantiate(V, c.lhs) == instantiate(V, c.rhs)
     if c.var not in V:
         raise MissingVariable(f"valuation lacks {c.var}")
-    return atree_fresh(V[c.var].name(), instantiate(V, c.target))
+    return V[c.var].name() not in instantiate(V, c.target).free_names()
 
 
 def satisfies_all(V: Valuation, p: Problem) -> bool:

@@ -445,3 +445,22 @@ def test_reader_has_no_nesting_limit():
         assert ty.binder == "nm" and ty.body.items[0] == UNIT_T
         ty, depth = ty.body.items[1], depth + 1
     assert depth == 3000 and ty == UNIT_T
+
+
+def _deep_eu(bottom: str) -> str:
+    """A `.eu` file whose name-term nests 3,000 swaps around `bottom`."""
+    nt = bottom
+    for _ in range(3000):
+        nt = f"(app (swap A c) {nt})"
+    return ("(eu (names c) (name-vars A B) (perm-vars)\n"
+            f"    (constraints (eq B {nt})))\n")
+
+
+def test_check_reads_a_deep_eu_name_term(tmp_path, capsys):
+    path = tmp_path / "deep.eu"
+    path.write_text(_deep_eu("B"))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and out == "ok\n"
+    path.write_text(_deep_eu("D"))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2 and err == "error: undeclared vertex D\n"

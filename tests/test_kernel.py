@@ -210,6 +210,20 @@ def test_inhabitant_reuses_the_signature_builder_table(monkeypatch):
         check_tree(sig, inhabitant(sig, DataSortT("tm")), DataSortT("tm"))
 
 
+def test_make_signature_walks_each_constructor_once(monkeypatch):
+    walked = []
+    walk = kernel.type_sorts
+
+    def counting(ty):
+        walked.append(ty)
+        return walk(ty)
+
+    monkeypatch.setattr(kernel, "type_sorts", counting)
+    sig = small_signature()
+    assert sorted(map(str, walked)) == sorted(
+        str(arg) for arg, _ in sig.constructors.values())
+
+
 def test_inhabitant_start_index_bounds_free_names():
     sig = small_signature()
     g = inhabitant(sig, TupleT((NameSortT("nm"), NameSortT("nm"))), 5)

@@ -33,9 +33,12 @@ from npnas.cli import (
 from npnas.decider import decide
 from npnas.errors import NpnasError, SourceSyntaxError
 from npnas.kernel import AbsT, DataSortT, NameSortT, TupleT, UNIT_T, make_signature
-from npnas.oracle import random_eu_problem, random_problem
+from npnas.oracle import (
+    random_eu_problem, random_problem, random_term, random_type,
+    small_signature)
 from npnas.schematic import (
-    Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var, satisfies_all)
+    Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, SUnit, Var, satisfies_all,
+    subst_term)
 
 names = st.integers(0, 3).map(lambda i: Name("nm", i))
 
@@ -79,6 +82,46 @@ def test_canonicalize_realize_round_trip(g):
 @given(trees, perms)
 def test_free_names_are_equivariant(g, pi):
     assert free_names(perm_apply(pi, g)) == {pi(a) for a in free_names(g)}
+
+
+@given(trees)
+def test_alpha_tree_free_names_are_the_ground_tree_free_names(g):
+    assert canonicalize(g).free_names() == free_names(g)
+
+
+def reference_vars(t) -> frozenset[str]:
+    """The variables of t by the recursive walk that once computed them."""
+    if isinstance(t, Var):
+        return frozenset([t.name])
+    if isinstance(t, SUnit):
+        return frozenset()
+    if isinstance(t, STuple):
+        out: frozenset[str] = frozenset()
+        for item in t.items:
+            out |= reference_vars(item)
+        return out
+    if isinstance(t, SApp):
+        return reference_vars(t.arg)
+    return reference_vars(t.body) | {t.binder}
+
+
+_VARS_ENV = {"a": NameSortT("nm"), "b": NameSortT("nm"),
+             "x": DataSortT("tm"), "y": AbsT("nm", DataSortT("tm"))}
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_vars_are_the_reference_walk(seed):
+    rng = random.Random(seed)
+    sig = small_signature()
+    ty = random_type(rng)
+    lhs, rhs = (random_term(rng, sig, _VARS_ENV, ty, depth=4)
+                for _ in range(2))
+    renamed = subst_term(lhs, "a", Var("b"))
+    for t in (lhs, rhs, renamed):
+        assert t.vars == reference_vars(t)
+    assert Eq(lhs, rhs).vars == reference_vars(lhs) | reference_vars(rhs)
+    assert Fresh("a", rhs).vars == reference_vars(rhs) | {"a"}
 
 
 def _rename(t, m):

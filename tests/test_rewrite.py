@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from npnas.errors import InvalidSelection
-from npnas.kernel import AbsT, DataSortT, NameSortT
+from npnas.kernel import (
+    AAbs, AApp, ABound, ATuple, AbsT, AlphaTree, DataSortT, Name, NameSortT)
 from npnas.oracle import brute_sat, random_problem
 from npnas.rewrite import (
     CLASH_ABS_OCCURS,
@@ -19,10 +21,12 @@ from npnas.rewrite import (
     fresh_vars,
     has_clash,
     narrow,
+    shared_vars,
     statuses,
     successors,
 )
-from npnas.schematic import Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var
+from npnas.schematic import (
+    Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var, subst_term)
 
 NM = NameSortT("nm")
 TM = DataSortT("tm")
@@ -86,6 +90,37 @@ def test_fresh_on_other_name_sort_reduces_to_nothing():
     assert statuses(prob(env, c))[0] is None
     (q,) = expand(sig2, prob(env, c), 0)
     assert q.constraints == ()
+
+
+def _deep_term(leaf, depth=5000):
+    t = leaf
+    for i in range(depth):
+        t = (SApp("L", SAbs("a", t)) if i % 2
+             else SApp("P", STuple((t, SUNIT))))
+    return t
+
+
+def test_deep_problem_is_classified_without_recursion():
+    # Variables and free names are set when a node is built, so the checks
+    # that read them walk nothing, at the interpreter's default limit.
+    env = {"a": NM, "x": TM, "y": TM}
+    t = _deep_term(Var("y"))
+    p = prob(env, Eq(Var("x"), t), Fresh("a", Var("x")))
+    occurs = prob(env, Eq(Var("x"), _deep_term(Var("x"))))
+    node = Name("nm", 0)
+    for _ in range(5000):
+        node = AApp("L", AAbs("nm", ATuple((node, ABound(0)))))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert not has_clash(p) and has_clash(occurs)
+        assert statuses(p) == (None, SOLVED_FRESH)
+        assert statuses(occurs) == (CLASH_OCCURS,)
+        assert shared_vars(p) == {"a", "x"}
+        assert subst_term(t, "x", SUNIT) is t
+        assert AlphaTree(node).free_names() == {Name("nm", 0)}
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from npnas.schematic import (
     atree_size,
     check_problem,
     constraint_size,
-    constraint_vars,
     infer_type,
     instantiate,
     satisfies,
@@ -50,7 +49,6 @@ from npnas.schematic import (
     subst_constraint,
     subst_term,
     term_size,
-    term_vars,
     tree_size,
     wrap_abs,
 )
@@ -102,8 +100,11 @@ def test_check_problem_wraps_type_errors(sig, env):
 
 def test_term_vars_includes_binders():
     t = SAbs("a", STuple((Var("x"), SUNIT)))
-    assert term_vars(t) == {"a", "x"}
-    assert constraint_vars(Fresh("b", t)) == {"a", "b", "x"}
+    assert t.vars == {"a", "x"}
+    assert Fresh("b", t).vars == {"a", "b", "x"}
+    # A fact set when the value is built is not part of its identity.
+    assert repr(Var("x")) == "Var(name='x')"
+    assert "vars" not in repr(Fresh("b", t))
 
 
 def test_subst_term_is_capturing():
