@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Verdict, nodes and seconds of the focused search on two families with a
+size parameter n, one line per instance, then the totals.
+
+    PYTHONPATH=src python scripts/search_families.py eu N [--seed S] [--count C]
+    PYTHONPATH=src python scripts/search_families.py pigeonhole N
+
+eu: C scaled equivariant unification problems (default 20) drawn from
+`random.Random(S)` (default S = N), translated by `translate_eu`.  Each has
+two constants, N name variables, the permutation variables Q0 and Q1 and N
+constraints.  A constraint is an equation with probability 0.7 and a
+freshness constraint otherwise.  Each side is a swap with probability 0.35,
+nested up to 2 deep, over operands that, like a swap's innermost target,
+are a vertex under Q0 or Q1 with probability 0.6 and a bare vertex
+otherwise.
+
+pigeonhole: N pairwise-fresh names a_i, each with
+`(eq <b_1..b_k>a_i <e_i1..e_ik>d_i)` and `(fresh a_i d_i)`, k = N - 1.  The
+equation puts a_i at the binder of some b_j, and the freshness forbids it
+to stay free, so N names would need N distinct binders out of N - 1: every
+instance is unsat.
+
+Each line shows the oracle's verdict: `eu_brute_sat` for eu, and for
+pigeonhole `brute_sat` with one pool name per variable, which makes it
+exact; `-` when its pool is over its guard or it runs past ORACLE_SECONDS.
+
+A solve that expands more than BUDGET nodes prints `budget` and is left
+out of the node total.  The exit code is 1 when a
+verdict disagrees with an oracle or with the planted answer.  Standard
+library only.
+"""
+import argparse
+import random
+import signal
+import time
+
+from npnas.decider import SolveOptions, decide
+from npnas.errors import BudgetExhausted, PoolTooLarge, SearchSpaceTooLarge
+from npnas.eubridge import (
+    EU_SIGNATURE, EUEq, EUFresh, EUProblem, PSwap, PVar, Susp, Vertex,
+    eu_brute_sat, translate_eu)
+from npnas.kernel import NameSortT, make_signature
+from npnas.oracle import brute_sat
+from npnas.schematic import Eq, Fresh, Problem, SAbs, Var
+
+BUDGET = 60_000
+ORACLE_SECONDS = 2.0
+VERDICT = {True: "sat", False: "unsat", None: "-"}
+NAME = make_signature(["nm"], [], {})
+
+
+def scaled_eu(rng: random.Random, n: int) -> EUProblem:
+    names = ("c0", "c1")
+    name_vars = tuple(f"A{i}" for i in range(n))
+    perm_vars = ("Q0", "Q1")
+
+    def simple():
+        v = Vertex(rng.choice(names + name_vars))
+        if rng.random() < 0.6:
+            return Susp(PVar(rng.choice(perm_vars)), v)
+        return v
+
+    def nt(depth):
+        if depth and rng.random() < 0.35:
+            return Susp(PSwap(simple(), simple()), nt(depth - 1))
+        return simple()
+
+    cs = tuple((EUEq if rng.random() < 0.7 else EUFresh)(nt(2), nt(2))
+               for _ in range(n))
+    return EUProblem(names, name_vars, perm_vars, cs)
+
+
+def pigeonhole(n: int) -> Problem:
+    k = n - 1
+    bs = [f"b{j}" for j in range(k)]
+    env = {x: NameSortT("nm") for x in bs}
+    cs: list = []
+    for i in range(n):
+        es = [f"e{i}_{j}" for j in range(k)]
+        env.update((x, NameSortT("nm")) for x in (f"a{i}", f"d{i}", *es))
+        lhs, rhs = Var(f"a{i}"), Var(f"d{i}")
+        for b, e in zip(reversed(bs), reversed(es)):
+            lhs, rhs = SAbs(b, lhs), SAbs(e, rhs)
+        cs += (Eq(lhs, rhs), Fresh(f"a{i}", Var(f"d{i}")))
+    cs += (Fresh(f"a{i}", Var(f"a{j}")) for i in range(n) for j in range(i))
+    return Problem(env, tuple(cs))
+
+
+class _OutOfTime(Exception):
+    pass
+
+
+def oracle(sig, p: Problem, ep: EUProblem | None):
+    """The verdict of `eu_brute_sat` on ep, or else of an exact `brute_sat`
+    on p; None when it needs too large a pool or more than ORACLE_SECONDS."""
+    def stop(signum, frame):
+        raise _OutOfTime
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, ORACLE_SECONDS)
+    try:
+        if ep is not None:
+            return eu_brute_sat(ep)
+        res = brute_sat(sig, p, pool=len(p.env))
+        return res.sat if res.exact or res.sat else None
+    except (_OutOfTime, PoolTooLarge, SearchSpaceTooLarge):
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("family", choices=("eu", "pigeonhole"))
+    ap.add_argument("n", type=int)
+    ap.add_argument("--seed", type=int, help="eu only; default N")
+    ap.add_argument("--count", type=int, default=20, help="eu only")
+    args = ap.parse_args()
+
+    if args.family == "eu":
+        rng = random.Random(args.n if args.seed is None else args.seed)
+        eps = [scaled_eu(rng, args.n) for _ in range(args.count)]
+        cases = [(EU_SIGNATURE, translate_eu(ep), ep) for ep in eps]
+    else:
+        cases = [(NAME, pigeonhole(args.n), None)]
+
+    wrong = nodes = over = 0
+    seconds = 0.0
+    for i, (sig, p, ep) in enumerate(cases):
+        t0 = time.perf_counter()
+        try:
+            r = decide(sig, p, SolveOptions(budget=BUDGET))
+        except BudgetExhausted:
+            r = None
+        dt = time.perf_counter() - t0
+        seconds += dt
+        if r is None:
+            over += 1
+            print(f"{i} budget - {dt:.3f}")
+            continue
+        nodes += r.nodes
+        expected = oracle(sig, p, ep)
+        line = (f"{i} {'sat' if r.sat else 'unsat'} {r.nodes} {dt:.3f} "
+                f"oracle={VERDICT[expected]}")
+        if expected not in (None, r.sat) or (ep is None and r.sat):
+            wrong += 1
+            line += " WRONG"
+        print(line)
+    print(f"total: {nodes} nodes in {seconds:.2f} s over "
+          f"{len(cases) - over} solves, {over} over budget, {wrong} wrong")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,8 +11,9 @@ witnesses:
 
     PYTHONPATH=src python scripts/sweep.py > after.txt
 
-The counts of bad witnesses and oracle disagreements go to stderr, and the
-exit code is 1 when either is not zero.
+The node totals per family and strategy (over the solves within budget) and
+the counts of bad witnesses and oracle disagreements go to stderr, and the
+exit code is 1 when either count is not zero.
 
 The families: 1,200 `random_problem` at the defaults, 1,200 at six
 variables and five constraints, 600 translated `random_eu_problem`, and
@@ -24,6 +25,7 @@ covers the reader.
 """
 import random
 import sys
+from collections import Counter
 
 from npnas.cli import format_problem, parse_problem
 from npnas.decider import SolveOptions, decide
@@ -116,6 +118,7 @@ def families():
 
 def main() -> int:
     bad = disagreements = 0
+    nodes: Counter = Counter()
     for family, i, sig, p, expected in families():
         for strategy in STRATEGIES:
             head = f"{family} {i} {strategy}"
@@ -125,6 +128,7 @@ def main() -> int:
             except BudgetExhausted:
                 print(f"{head} budget")
                 continue
+            nodes[family, strategy] += r.nodes
             line = (f"{head} {'sat' if r.sat else 'unsat'} {r.reason} "
                     f"nodes={r.nodes} nf={r.normal_forms}")
             if r.sat:
@@ -138,6 +142,8 @@ def main() -> int:
                 print(f"{head}: the oracle says "
                       f"{'sat' if expected else 'unsat'}", file=sys.stderr)
             print(line)
+    for (family, strategy), total in nodes.items():
+        print(f"nodes {family} {strategy}: {total}", file=sys.stderr)
     print(f"bad witnesses: {bad}", file=sys.stderr)
     print(f"oracle disagreements: {disagreements}", file=sys.stderr)
     return 1 if bad or disagreements else 0

@@ -7,7 +7,7 @@ the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
 
 The search departs from the paper's relation (`rewrite.expand`,
-`successors`) in four ways.  The two shortcuts are sound because every
+`successors`) in six ways.  The two shortcuts are sound because every
 rule's branch set preserves satisfiability: one reducible constraint's
 branches are a complete choice, and the search terminates under any
 selection once the collapse succeeds.
@@ -35,6 +35,31 @@ selection once the collapse succeeds.
   present or stored later, so the witness fills the store in reverse order.
   This is the triangular form of a unifier (Martelli and Montanari, TOPLAS
   1982).
+- Least commitment and backjumping under focused: a branching node's
+  successors are tried last first, so the branch that keeps the name apart
+  from every binder goes first and the binder equalities follow in the
+  reverse of `expand`'s order.  Every constraint carries a tag, the set of
+  branching levels its derivation used: input constraints have none, the
+  block that replaces constraint i takes i's tag plus the node's own level
+  when the node branches, and a constraint that i's substitution rewrites
+  adds i's tag to its own.  A dead end's conflict is the smallest tag among
+  its clash constraints.  The search jumps back to the highest level in it
+  and skips the untried siblings of every deeper level; a node whose
+  branches all failed fails with the union of their conflicts minus its
+  own level (Prosser, Comput. Intell. 1993).  This is sound: a constraint
+  tagged S follows from the input and the choices at the levels in S, with
+  narrowing's fresh variables read existentially.  A clash constraint has
+  no solution, so the input with the choices in S is unsatisfiable, and
+  every sibling below the highest level in S keeps those choices, so it
+  fails too.  Backjumping only prunes the chronological search in this
+  order, so it never expands more nodes than that search.
+- No repeated solved freshness under focused: of several copies of a
+  solved `fresh x y` only the first stays in the state, with its tag.  A
+  conjunction holds with or without a repeat, a repeat labels nothing else
+  differently, and either copy's tag justifies the one kept.  Without this,
+  the branch tried first leaves each swap gadget of a chain two `fresh`
+  constraints that every later `eq x y` rewrites into copies of the same
+  ones, and every pending sibling keeps its own.
 """
 from __future__ import annotations
 
@@ -47,8 +72,10 @@ from .kernel import (AlphaTree, Name, NameSortT, Signature, Type,
 from .rewrite import (
     SOLVED_ASSIGN,
     SOLVED_FORMS,
+    SOLVED_FRESH,
     _split_eq,
     _subst_rest,
+    clash_kind,
     expand,
     has_clash,
     shared_vars,
@@ -86,7 +113,8 @@ class SolveResult:
     reason: str | None = None     # "fo-reduction" | "exhausted-normal-forms"
     witness: Valuation | None = None
     nodes: int = 0                # problems whose successors were computed
-    normal_forms: int = 0         # terminal problems encountered
+    normal_forms: int = 0         # terminal problems encountered; the
+                                  # siblings backjumping skips are not
 
 
 @memo_on_object
@@ -160,10 +188,11 @@ def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
     return expand(sig, q, i, verify=False)
 
 
-def _shelve(q: Problem):
+def _shelve(q: Problem, tags: tuple[int, ...] | None = None):
     """Move every solved `eq x t` (x isolated) out of q until none is left.
-    Returns what remains, the (x, t) pairs in the order they moved, and the
-    statuses of what remains."""
+    Returns what remains, the (x, t) pairs in the order they moved, the
+    statuses of what remains and the tags of what remains (None stays
+    None); the moved pairs drop their tags."""
     moved: list[tuple[str, Term]] = []
     while SOLVED_ASSIGN in (st := statuses(q)):
         shared = shared_vars(q)
@@ -176,7 +205,71 @@ def _shelve(q: Problem):
             else:
                 moved.append((c.rhs.name, c.lhs))
         q = Problem(q.env, tuple(rest))
-    return q, tuple(moved), st
+        if tags is not None:
+            tags = tuple(t for t, s in zip(tags, st) if s != SOLVED_ASSIGN)
+    return q, tuple(moved), st, tags
+
+
+def _drop_repeats(q: Problem, st: tuple, tags: tuple[int, ...] | None):
+    """q, its statuses and its tags without the repeats of a solved
+    `fresh x y`; the first copy stays."""
+    if st.count(SOLVED_FRESH) < 2:
+        return q, st, tags
+    # A solved `fresh x y` is keyed by (x, y), any other constraint by its
+    # position.
+    keys = [(c.var, c.target.name) if s == SOLVED_FRESH else j
+            for j, (c, s) in enumerate(zip(q.constraints, st))]
+    if len(set(keys)) == len(keys):
+        return q, st, tags
+    first: dict = {}
+    for j, k in enumerate(keys):
+        first.setdefault(k, j)
+    cs = q.constraints
+    keep = first.values()
+    return (Problem(q.env, tuple(cs[j] for j in keep)),
+            tuple(st[j] for j in keep),
+            None if tags is None else tuple(tags[j] for j in keep))
+
+
+def _kid_tags(q: Problem, tags: tuple[int, ...], i: int, kid: Problem,
+              own: int) -> tuple[int, ...]:
+    """The tags of a successor of q for constraint i: q's constraints with
+    position i replaced by a block, and each other one kept as it is or
+    rewritten.  The block takes tag(i) | own; a rewritten constraint adds
+    tag(i) to its own tag."""
+    ti = tags[i]
+    n = len(q.constraints)
+    m = len(kid.constraints) - n + 1
+    block = (ti | own,) * m
+    if not ti:
+        return tags[:i] + block + tags[i + 1:]
+    old, new = q.constraints, kid.constraints
+    return (tuple(t if a is b else t | ti
+                  for a, b, t in zip(old[:i], new, tags))
+            + block
+            + tuple(t if a is b else t | ti
+                    for a, b, t in zip(old[i + 1:], new[i + m:],
+                                       tags[i + 1:])))
+
+
+def _backjump(stack: list, conflicts: list[int], conflict: int) -> None:
+    """Fail the current branch with `conflict`, the branching levels whose
+    choices (with the input) are unsatisfiable.  Skips the untried siblings
+    of every level deeper than its highest one.  A branching node left with no
+    sibling to try fails in turn, with the union of its branches' conflicts
+    minus its own level.  An empty conflict refutes the input: the stack
+    is emptied."""
+    while conflict:
+        h = conflict.bit_length() - 1
+        conflicts[h] |= conflict
+        while stack and stack[-1][3] > h + 1:
+            stack.pop()
+        if stack and stack[-1][3] == h + 1:
+            del conflicts[h + 1:]
+            return
+        conflict = conflicts[h] ^ (1 << h)
+        del conflicts[h:]
+    stack.clear()
 
 
 def decide(sig: Signature, p: Problem,
@@ -200,22 +293,32 @@ def _search(sig: Signature, p: Problem,
         seen.add(k)
         return found
 
-    stack: list[tuple[Problem, tuple]] = [(p, ())]
+    # Entries (problem, store, tags, level): under focused, tags holds each
+    # constraint's mask of the branching levels it rests on (None until the
+    # path's first branching node), and level counts the path's branching
+    # nodes.  conflicts[l] joins the conflicts of level l's failed branches.
+    stack: list[tuple] = [(p, (), None, 0)]
+    conflicts: list[int] = []
     nodes = 0
     dead_ends = 0
     while stack:
-        q, store = stack.pop()
+        q, store, tags, level = stack.pop()
         if has_clash(q):
             # A clash constraint never goes away, so no descendant of q is
             # solved; count each encounter with such a branch as a dead end.
             dead_ends += 1
+            if not full:
+                _backjump(stack, conflicts, 0 if tags is None else min(
+                    t for c, t in zip(q.constraints, tags) if clash_kind(c)))
             continue
         # Under full, skip a seen state before its statuses, and once shelved.
         if full and seen_before(q):
             continue
-        q, moved, st = _shelve(q)
+        q, moved, st, tags = _shelve(q, tags)
         if moved and full and seen_before(q):
             continue
+        if not full:
+            q, st, tags = _drop_repeats(q, st, tags)
         store += moved
         idx = [i for i, s in enumerate(st) if s is None]
         if not idx:
@@ -228,13 +331,25 @@ def _search(sig: Signature, p: Problem,
         nodes += 1
         if options.budget is not None and nodes > options.budget:
             raise BudgetExhausted(f"expanded more than {options.budget} problems")
-        if not full:
-            i = next((i for i in idx if not _branching(q.env, q.constraints[i])),
-                     idx[0])
-            kids = _branches(sig, q, i)
-        else:
+        if full:
             kids = tuple(r for i in idx for r in _branches(sig, q, i))
-        stack.extend((kid, store) for kid in reversed(kids))
+            stack.extend((kid, store, None, 0) for kid in reversed(kids))
+            continue
+        i = next((i for i in idx if not _branching(q.env, q.constraints[i])),
+                 idx[0])
+        kids = _branches(sig, q, i)
+        if len(kids) == 1:
+            if tags is not None:
+                tags = _kid_tags(q, tags, i, kids[0], 0)
+            stack.append((kids[0], store, tags, level))
+            continue
+        # Last branch first: the name kept apart from every binder.
+        if tags is None:
+            tags = (0,) * len(q.constraints)
+        conflicts.append(0)
+        own = 1 << level
+        stack.extend((kid, store, _kid_tags(q, tags, i, kid, own), level + 1)
+                     for kid in kids)
     return SolveResult(sat=False, reason="exhausted-normal-forms",
                        nodes=nodes, normal_forms=dead_ends)
 
@@ -254,7 +369,7 @@ def extract_witness(sig: Signature, p: Problem,
     every freshness constraint; last, the store is filled in reverse order,
     each x from its t.
     """
-    _, moved, labels = _shelve(p)
+    _, moved, labels, _ = _shelve(p)
     if not all(s in SOLVED_FORMS for s in labels):
         raise NotSolved(f"not a solved problem: {p}")
     env = p.env

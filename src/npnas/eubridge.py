@@ -172,24 +172,37 @@ class _Translator:
         return x
 
     def trans(self, nt: NameTerm) -> str:
-        if isinstance(nt, Vertex):
-            return nt.sym
-        perm = nt.perm
-        if isinstance(perm, PIdent):
-            return nt.target.sym
-        if isinstance(perm, PVar):
-            v = nt.target.sym
-            sites = self.images.setdefault(perm.sym, {})
-            if v not in sites:
-                sites[v] = self.generate(pvvar(perm.sym, v))
-            return sites[v]
-        x = self.trans(perm.a)
-        y = self.trans(perm.b)
-        w = self.trans(nt.target)
-        u = self.generate(f"_w{self.temps}")
-        self.temps += 1
-        self.out.append(swap_gadget(x, y, u, w))
-        return u
+        """The solver variable whose value is nt's.  A swap's operands and
+        target are translated left to right before its gadget is emitted;
+        the walk keeps an explicit stack, so nesting depth is unbounded."""
+        todo: list[NameTerm | None] = [nt]  # None: emit the next swap gadget
+        done: list[str] = []                # translated operands, in order
+        while todo:
+            nt = todo.pop()
+            if nt is None:
+                w = done.pop()
+                y = done.pop()
+                x = done.pop()
+                u = self.generate(f"_w{self.temps}")
+                self.temps += 1
+                self.out.append(swap_gadget(x, y, u, w))
+                done.append(u)
+                continue
+            if isinstance(nt, Vertex):
+                done.append(nt.sym)
+                continue
+            perm = nt.perm
+            if isinstance(perm, PIdent):
+                done.append(nt.target.sym)
+            elif isinstance(perm, PVar):
+                v = nt.target.sym
+                sites = self.images.setdefault(perm.sym, {})
+                if v not in sites:
+                    sites[v] = self.generate(pvvar(perm.sym, v))
+                done.append(sites[v])
+            else:
+                todo += (None, nt.target, perm.b, perm.a)
+        return done.pop()
 
 
 def translate_eu(p: EUProblem) -> Problem:

@@ -464,3 +464,12 @@ def test_check_reads_a_deep_eu_name_term(tmp_path, capsys):
     path.write_text(_deep_eu("D"))
     code, _, err = run(capsys, "check", str(path))
     assert code == 2 and err == "error: undeclared vertex D\n"
+
+
+def test_translate_eu_writes_a_deep_eu_name_term(tmp_path, capsys):
+    path = tmp_path / "deep.eu"
+    path.write_text(_deep_eu("B"))
+    code, out, _ = run(capsys, "translate-eu", str(path))
+    assert code == 0
+    # One swap gadget `(eq (abs A (abs c w)) (abs c (abs A u)))` per level.
+    assert out.count("(eq (abs A (abs c ") == 3000

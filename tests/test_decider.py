@@ -223,6 +223,33 @@ def test_solved_equations_leave_the_search_state(sig, monkeypatch):
     assert max(len(q.constraints) for q in expanded) < 40
 
 
+def test_a_swap_chain_keeps_no_repeated_freshness(monkeypatch):
+    # The branch tried first keeps each gadget's name apart from its
+    # binders and leaves two `fresh` constraints, which every later `eq x y`
+    # of the chain rewrites into copies of the same ones.  With the repeats
+    # kept, the largest state expanded here held 241 constraints.
+    nt = "B"
+    for _ in range(60):
+        nt = f"(app (swap A c) {nt})"
+    p = translate_eu(parse_eu(
+        f"(eu (names c) (name-vars A B) (perm-vars) (constraints (eq B {nt})))"))
+    expanded = []
+    branches = decider._branches
+
+    def record(s, q, i):
+        expanded.append(q)
+        return branches(s, q, i)
+
+    monkeypatch.setattr(decider, "_branches", record)
+    r = decide(EU_SIGNATURE, p)
+    assert r.sat and r.nodes == 121
+    for q in expanded:
+        fresh = [c for c, s in zip(q.constraints, statuses(q))
+                 if s == rewrite.SOLVED_FRESH]
+        assert len(fresh) == len(set(fresh)), q
+    assert max(len(q.constraints) for q in expanded) <= len(p.constraints) + 3
+
+
 def test_memo_key_is_structural():
     # Both render as "(eq a b c)"; the key must still tell them apart.
     env = {"a b": TM, "c": TM, "a": TM, "b c": TM}
@@ -383,3 +410,123 @@ def test_full_memo_key_types_only_what_narrowing_added(sig, monkeypatch):
     r = decide(sig, p, SolveOptions(strategy="full"))
     assert r.sat and satisfies_all(r.witness, p)
     assert any(typed)
+
+
+# ---------------------------------------------------------------------------
+# Backjumping
+
+def _chronological(sig, p):
+    """The focused search without backjumping and with repeated solved
+    freshness kept: every branch of every branching node is tried, last
+    first.  Returns the verdict and the number of nodes expanded."""
+    stack = [p]
+    nodes = 0
+    while stack:
+        q = stack.pop()
+        if rewrite.has_clash(q):
+            continue
+        q, _, st, _ = decider._shelve(q)
+        idx = [i for i, s in enumerate(st) if s is None]
+        if not idx:
+            return True, nodes
+        nodes += 1
+        i = next((i for i in idx
+                  if not decider._branching(q.env, q.constraints[i])), idx[0])
+        stack.extend(decider._branches(sig, q, i))
+    return False, nodes
+
+
+def _instances():
+    rng = random.Random(48)
+    for _ in range(150):
+        yield random_problem(rng)
+    for _ in range(150):
+        yield random_problem(rng, 6, 5)
+    rng = random.Random(49)
+    for _ in range(150):
+        yield EU_SIGNATURE, translate_eu(random_eu_problem(rng))
+
+
+def test_backjumping_prunes_the_chronological_search():
+    fewer = 0
+    for sig, p in _instances():
+        if not foreduce.fo_sat(sig, p):
+            continue
+        sat, nodes = _chronological(sig, p)
+        r = decide(sig, p)
+        assert r.sat == sat and r.nodes <= nodes, p
+        fewer += r.nodes < nodes
+    assert fewer > 5
+
+
+def test_focused_and_full_verdicts_agree():
+    decided = 0
+    for sig, p in _instances():
+        focused = decide(sig, p)
+        try:
+            full = decide(sig, p, SolveOptions(strategy="full", budget=2000))
+        except BudgetExhausted:
+            continue
+        assert focused.sat == full.sat, p
+        decided += 1
+    assert decided > 400
+
+
+def test_a_refuted_branching_node_skips_the_siblings_above_it(sig):
+    # Two branching freshness constraints come first, then one that fails
+    # under both of its branches whatever the first two chose.
+    # Its failure rests on no earlier choice, so the search stops there
+    # instead of retrying it under the other three combinations.
+    env = {v: NM for v in "abcde"}
+    p = Problem(env, (Fresh("a", SAbs("b", Var("c"))),
+                      Fresh("b", SAbs("c", Var("a"))),
+                      Fresh("d", SAbs("e", Var("d"))),
+                      Fresh("d", Var("e"))))
+    r = decide(sig, p)
+    assert not r.sat and r.nodes == 4
+    assert _chronological(sig, p) == (False, 11)
+    res = brute_sat(sig, p, pool=5)
+    assert res.exact and not res.sat
+
+
+def _substitution(q, i, kid):
+    """The (variable, term) that successor kid of q for constraint i
+    substitutes in the rest, or None when the rule substitutes nothing."""
+    c = q.constraints[i]
+    if isinstance(c, Fresh):
+        return None
+    xs, bl, _, br = rewrite._split_eq(c)
+    if isinstance(bl, Var) and isinstance(br, Var):
+        # Only `eq x y` without binders substitutes: x:=y, its committed
+        # orientation.
+        return None if xs or bl == br else (bl.name, br)
+    if not isinstance(bl, Var) and not isinstance(br, Var):
+        return None
+    x, t = (bl, br) if isinstance(bl, Var) else (br, bl)
+    if not xs:
+        return x.name, t
+    return x.name, kid.constraints[i].rhs  # narrowing keeps `eq x pattern`
+
+
+def test_every_successor_replaces_one_constraint_by_a_block():
+    # The search's tags rest on this alignment: a successor for constraint
+    # i holds q's other constraints in order, each as it is or rewritten by
+    # the rule's substitution, with i's block in between.
+    kept = rewritten = 0
+    for s, q in _sampled_states():
+        n = len(q.constraints)
+        for i in _reducible(q):
+            for kid in decider._branches(s, q, i):
+                m = len(kid.constraints) - n + 1
+                assert m >= 0, (q, i)
+                sub = _substitution(q, i, kid)
+                olds = q.constraints[:i] + q.constraints[i + 1:]
+                news = kid.constraints[:i] + kid.constraints[i + m:]
+                for old, new in zip(olds, news):
+                    if new is old:
+                        kept += 1
+                        continue
+                    assert sub is not None and sub[0] in old.vars, (q, i)
+                    assert new == schematic.subst_constraint(old, *sub)
+                    rewritten += 1
+    assert kept > 1000 and rewritten > 100, (kept, rewritten)

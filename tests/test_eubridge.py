@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from npnas import eubridge
 from npnas.cli import parse_eu
 from npnas.decider import decide
 from npnas.errors import PhaseTwoViolation, PoolTooLarge, UndeclaredSymbol, ValidationError
@@ -134,6 +136,65 @@ def test_translation_adds_bijection_gadgets_per_site_pair():
 def test_generated_names_avoid_taken_ones(text):
     p = parse_eu(text)
     assert decide(EU_SIGNATURE, translate_eu(p)).sat == eu_brute_sat(p)
+
+
+def _recursive_trans(self, nt):
+    """`_Translator.trans` as a recursive walk: the reference for the
+    explicit-stack walk."""
+    if isinstance(nt, Vertex):
+        return nt.sym
+    perm = nt.perm
+    if isinstance(perm, PIdent):
+        return nt.target.sym
+    if isinstance(perm, PVar):
+        v = nt.target.sym
+        sites = self.images.setdefault(perm.sym, {})
+        if v not in sites:
+            sites[v] = self.generate(pvvar(perm.sym, v))
+        return sites[v]
+    x = _recursive_trans(self, perm.a)
+    y = _recursive_trans(self, perm.b)
+    w = _recursive_trans(self, nt.target)
+    u = self.generate(f"_w{self.temps}")
+    self.temps += 1
+    self.out.append(swap_gadget(x, y, u, w))
+    return u
+
+
+def _reference_translation(p):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eubridge._Translator, "trans", _recursive_trans)
+        return translate_eu(p)
+
+
+_VERTICES = st.sampled_from(("c0", "c1", "A0", "A1")).map(Vertex)
+_SIMPLE_NT = (_VERTICES
+              | st.builds(Susp, st.sampled_from((PVar("Q0"), PVar("Q1"),
+                                                 PIdent())), _VERTICES))
+# Swaps whose operands and targets are swaps in turn.
+_NESTED_NT = st.recursive(
+    _SIMPLE_NT,
+    lambda inner: st.builds(lambda a, b, t: Susp(PSwap(a, b), t),
+                            inner, inner, inner),
+    max_leaves=12)
+_NESTED_EU = st.builds(
+    lambda cs: EUProblem(("c0", "c1"), ("A0", "A1"), ("Q0", "Q1"), tuple(cs)),
+    st.lists(st.builds(lambda ctor, a, b: ctor(a, b),
+                       st.sampled_from((EUEq, EUFresh)), _NESTED_NT, _NESTED_NT),
+             min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_translation_matches_the_recursive_walk(seed):
+    p = random_eu_problem(random.Random(seed))
+    assert translate_eu(p) == _reference_translation(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NESTED_EU)
+def test_translation_of_nested_swaps_matches_the_recursive_walk(p):
+    assert translate_eu(p) == _reference_translation(p)
 
 
 # ---------------------------------------------------------------------------
