@@ -5,12 +5,9 @@ from .decider import SolveOptions, SolveResult, decide, extract_witness
 from .kernel import (
     AlphaTree,
     Name,
-    Permutation,
     Signature,
-    alpha_eq,
     canonicalize,
     make_signature,
-    perm_apply,
     realize,
 )
 from .schematic import Eq, Fresh, Problem, satisfies, satisfies_all
@@ -20,17 +17,14 @@ __all__ = [
     "Eq",
     "Fresh",
     "Name",
-    "Permutation",
     "Problem",
     "Signature",
     "SolveOptions",
     "SolveResult",
-    "alpha_eq",
     "canonicalize",
     "decide",
     "extract_witness",
     "make_signature",
-    "perm_apply",
     "realize",
     "satisfies",
     "satisfies_all",

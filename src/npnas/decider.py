@@ -67,8 +67,8 @@ from dataclasses import dataclass
 
 from .errors import BudgetExhausted, NotSolved, ValidationError
 from .foreduce import fo_sat
-from .kernel import (AlphaTree, Name, NameSortT, Signature, Type,
-                     canonicalize, inhabitant, memo_on_object)
+from .kernel import (AlphaTree, Name, NameSortT, Signature, Type, inhabitant,
+                     memo_on_object)
 from .rewrite import (
     SOLVED_ASSIGN,
     SOLVED_FORMS,
@@ -386,7 +386,7 @@ def extract_witness(sig: Signature, p: Problem,
         elif ty in values:
             V[x] = values[ty]
         else:
-            V[x] = values[ty] = canonicalize(inhabitant(sig, ty, start))
+            V[x] = values[ty] = inhabitant(sig, ty, start)
     for x, t in reversed(store + moved):
         V[x] = instantiate(V, t)
 

@@ -5,10 +5,6 @@ class NpnasError(Exception):
     """Base class for all library errors."""
 
 
-class SortMismatch(NpnasError):
-    """A swap pairs names of different sorts."""
-
-
 class TypeMismatch(NpnasError):
     """A tree or term does not have the expected type."""
 

@@ -237,7 +237,7 @@ def translate_eu(p: EUProblem) -> Problem:
 POOL_GUARD = 24
 
 
-def _application_count(p: EUProblem) -> int:
+def _application_count(c: EUConstraint) -> int:
     def count_nt(nt: NameTerm) -> int:
         if isinstance(nt, Vertex):
             return 0
@@ -247,7 +247,7 @@ def _application_count(p: EUProblem) -> int:
             return 1 + inner + count_nt(perm.a) + count_nt(perm.b)
         return 1 + inner
 
-    return sum(count_nt(c.lhs) + count_nt(c.rhs) for c in p.constraints)
+    return count_nt(c.lhs) + count_nt(c.rhs)
 
 
 def eu_brute_sat(p: EUProblem, pool: int | None = None) -> bool:
@@ -257,11 +257,13 @@ def eu_brute_sat(p: EUProblem, pool: int | None = None) -> bool:
     first (constants + name variables) atoms, which is enough by
     equivariance; permutation variables are built lazily as injective
     partial maps over a pool wide enough to hold every intermediate image.
+    Constraints are checked fewest suspensions first, so one that fails
+    outright is met before the image choices of the others multiply.
     """
     validate_eu(p)
     small = len(p.names) + len(p.name_vars)
     if pool is None:
-        pool = small + _application_count(p) + 1
+        pool = small + sum(map(_application_count, p.constraints)) + 1
     if pool > POOL_GUARD:
         raise PoolTooLarge(f"pool of {pool} atoms exceeds the guard {POOL_GUARD}")
     atoms = range(max(pool, small))
@@ -302,10 +304,12 @@ def eu_brute_sat(p: EUProblem, pool: int | None = None) -> bool:
                     else:
                         yield c, perms3
 
+    constraints = sorted(p.constraints, key=_application_count)
+
     def check(i, val, perms) -> bool:
-        if i == len(p.constraints):
+        if i == len(constraints):
             return True
-        c = p.constraints[i]
+        c = constraints[i]
         for lv, perms1 in eval_nt(c.lhs, val, perms):
             for rv, perms2 in eval_nt(c.rhs, val, perms1):
                 ok = (lv == rv) if isinstance(c, EUEq) else (lv != rv)

@@ -27,7 +27,6 @@ from .kernel import (
     Type,
     UNIT_T,
     UnitT,
-    canonicalize,
     inhabitant,
 )
 from .schematic import (
@@ -154,7 +153,7 @@ def _resolve(t: Term, subst: dict[str, Term]) -> Term:
 
 def _ground_node(flsig: Signature, env: Env, t: Term):
     if isinstance(t, Var):
-        return canonicalize(inhabitant(flsig, env[t.name])).node
+        return inhabitant(flsig, env[t.name]).node
     if isinstance(t, SUnit):
         return AUnit()
     if isinstance(t, STuple):

@@ -1,5 +1,10 @@
-"""Nominal signatures, ground trees, permutations, alpha-equivalence and
-canonical (nameless-binder) representatives.
+"""Nominal signatures, types, and the nameless alpha-trees the solver works
+on, with a witness's named ground tree for printing it.
+
+An alpha-tree is the canonical representative of an alpha-equivalence
+class: a bound name is the distance to its binder and free names stay
+explicit, so two trees are alpha-equivalent iff their alpha-trees are
+equal.  `canonicalize` and `realize` convert between the two forms.
 
 All values here are immutable and all operations are pure functions.
 """
@@ -9,8 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial, wraps
 from typing import Mapping, Union
 
-from .errors import (
-    SortMismatch, TypeMismatch, UndeclaredSort, Uninhabited, ValidationError)
+from .errors import TypeMismatch, UndeclaredSort, Uninhabited, ValidationError
 
 # ---------------------------------------------------------------------------
 # Facts of immutable values
@@ -156,7 +160,7 @@ def validate_signature(sig: Signature) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Names and ground trees
+# Names and ground trees (the named form of a witness)
 
 @dataclass(frozen=True)
 class Name:
@@ -207,137 +211,6 @@ class GAbs:
 GroundTree = Union[Name, GUnit, GTuple, GApp, GAbs]
 
 GUNIT = GUnit()
-
-
-def free_names(g: GroundTree) -> frozenset[Name]:
-    if isinstance(g, Name):
-        return frozenset([g])
-    if isinstance(g, GUnit):
-        return frozenset()
-    if isinstance(g, GTuple):
-        out: frozenset[Name] = frozenset()
-        for item in g.items:
-            out |= free_names(item)
-        return out
-    if isinstance(g, GApp):
-        return free_names(g.arg)
-    return free_names(g.body) - {g.binder}
-
-
-def check_tree(sig: Signature, g: GroundTree, ty: Type) -> None:
-    """Raise TypeMismatch unless g is a tree of type ty over sig."""
-    if isinstance(g, Name):
-        if not (isinstance(ty, NameSortT) and ty.sort == g.sort):
-            raise TypeMismatch(f"name {g} does not have type {ty}")
-    elif isinstance(g, GUnit):
-        if not isinstance(ty, UnitT):
-            raise TypeMismatch(f"unit does not have type {ty}")
-    elif isinstance(g, GTuple):
-        if not (isinstance(ty, TupleT) and len(ty.items) == len(g.items)):
-            raise TypeMismatch(f"tuple arity mismatch at type {ty}")
-        for item, t in zip(g.items, ty.items):
-            check_tree(sig, item, t)
-    elif isinstance(g, GApp):
-        if g.con not in sig.constructors:
-            raise TypeMismatch(f"unknown constructor {g.con}")
-        arg_ty, res = sig.constructors[g.con]
-        if not (isinstance(ty, DataSortT) and ty.sort == res):
-            raise TypeMismatch(f"{g.con} builds {res}, not {ty}")
-        check_tree(sig, g.arg, arg_ty)
-    else:
-        if not (isinstance(ty, AbsT) and ty.binder == g.binder.sort):
-            raise TypeMismatch(f"abstraction binder sort {g.binder.sort} does not fit {ty}")
-        check_tree(sig, g.body, ty.body)
-
-
-# ---------------------------------------------------------------------------
-# Permutations
-
-@dataclass(frozen=True)
-class Permutation:
-    """A finite list of name swaps, applied right-to-left."""
-    swaps: tuple[tuple[Name, Name], ...] = ()
-
-    def __post_init__(self):
-        for a, b in self.swaps:
-            if a.sort != b.sort:
-                raise SortMismatch(f"swap ({a} {b}) pairs different sorts")
-
-    def __call__(self, n: Name) -> Name:
-        for a, b in reversed(self.swaps):
-            if n == a:
-                n = b
-            elif n == b:
-                n = a
-        return n
-
-    def inverse(self) -> "Permutation":
-        return Permutation(tuple(reversed(self.swaps)))
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Composition: self applied first, then other."""
-        return Permutation(other.swaps + self.swaps)
-
-
-IDENTITY = Permutation()
-
-
-def swap(a: Name, b: Name) -> Permutation:
-    return Permutation(((a, b),))
-
-
-def perm_apply(pi: Permutation, g: GroundTree) -> GroundTree:
-    """Rename every name occurrence in g, binders included."""
-    if isinstance(g, Name):
-        return pi(g)
-    if isinstance(g, GUnit):
-        return g
-    if isinstance(g, GTuple):
-        return GTuple(tuple(perm_apply(pi, item) for item in g.items))
-    if isinstance(g, GApp):
-        return GApp(g.con, perm_apply(pi, g.arg))
-    return GAbs(pi(g.binder), perm_apply(pi, g.body))
-
-
-# ---------------------------------------------------------------------------
-# Alpha-equivalence and freshness (the ground-tree rules)
-
-def fresh_name(n: Name, g: GroundTree) -> bool:
-    """True iff n is not free in g."""
-    if isinstance(g, Name):
-        return n != g
-    if isinstance(g, GUnit):
-        return True
-    if isinstance(g, GTuple):
-        return all(fresh_name(n, item) for item in g.items)
-    if isinstance(g, GApp):
-        return fresh_name(n, g.arg)
-    if g.binder == n:
-        return True
-    return fresh_name(n, g.body)
-
-
-def alpha_eq(g1: GroundTree, g2: GroundTree) -> bool:
-    """Structural alpha-equivalence; distinct binders go through a swap with
-    the usual freshness side-condition."""
-    if isinstance(g1, Name) and isinstance(g2, Name):
-        return g1 == g2
-    if isinstance(g1, GUnit) and isinstance(g2, GUnit):
-        return True
-    if isinstance(g1, GTuple) and isinstance(g2, GTuple):
-        return len(g1.items) == len(g2.items) and all(
-            alpha_eq(a, b) for a, b in zip(g1.items, g2.items))
-    if isinstance(g1, GApp) and isinstance(g2, GApp):
-        return g1.con == g2.con and alpha_eq(g1.arg, g2.arg)
-    if isinstance(g1, GAbs) and isinstance(g2, GAbs):
-        if g1.binder.sort != g2.binder.sort:
-            return False
-        if g1.binder == g2.binder:
-            return alpha_eq(g1.body, g2.body)
-        if not fresh_name(g1.binder, g2.body):
-            return False
-        return alpha_eq(g1.body, perm_apply(swap(g1.binder, g2.binder), g2.body))
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +284,7 @@ class AlphaTree:
 
 def canonicalize(g: GroundTree) -> AlphaTree:
     """Canonical nameless-binder form; structural equality of results
-    coincides with alpha_eq of the inputs."""
+    coincides with alpha-equivalence of the inputs."""
     return AlphaTree(_canon(g, []))
 
 
@@ -433,15 +306,14 @@ def _canon(g: GroundTree, binders: list[Name]) -> ANode:
     return AAbs(g.binder.sort, body)
 
 
-def realize(a: AlphaTree, avoid: frozenset[Name] = frozenset()) -> GroundTree:
+def realize(a: AlphaTree) -> GroundTree:
     """Pick a ground representative; binder names are drawn above every
-    free-name index (and every index in avoid) at the relevant sort."""
+    free-name index at the relevant sort."""
     if isinstance(a.node, Name):  # a bare name is its own representative
         return a.node
-    base: dict[str, int] = {}
-    for n in a.free_names() | avoid:
-        base[n.sort] = max(base.get(n.sort, 0), n.index + 1)
-    counter = dict(base)
+    counter: dict[str, int] = {}
+    for n in a.free_names():
+        counter[n.sort] = max(counter.get(n.sort, 0), n.index + 1)
 
     def go(node: ANode, binders: list[Name]) -> GroundTree:
         if isinstance(node, Name):
@@ -493,26 +365,35 @@ def _builders(sig: Signature) -> dict[str, str]:
     return builders
 
 
-def inhabitant(sig: Signature, ty: Type, start_index: int = 0) -> GroundTree:
-    """Some ground tree of type ty; free names use indices >= start_index.
+def inhabitant(sig: Signature, ty: Type, start_index: int = 0) -> AlphaTree:
+    """Some alpha-tree of type ty; its free names have index start_index.
 
-    Raises Uninhabited when the signature violates the standing assumption
+    Every name of sort s is the one name of s at that index, so under an
+    abstraction over s it is bound by the innermost such binder.  Raises
+    Uninhabited when the signature violates the standing assumption
     (make_signature already rejects such signatures up front).
     """
     builders = sig.builders
+    binders: list[str] = []  # sorts of the enclosing abstractions
 
-    def go(t: Type) -> GroundTree:
+    def go(t: Type) -> ANode:
         if isinstance(t, NameSortT):
+            for depth, sort in enumerate(reversed(binders)):
+                if sort == t.sort:
+                    return ABound(depth)
             return Name(t.sort, start_index)
         if isinstance(t, UnitT):
-            return GUNIT
+            return AUNIT
         if isinstance(t, AbsT):
-            return GAbs(Name(t.binder, start_index), go(t.body))
+            binders.append(t.binder)
+            body = go(t.body)
+            binders.pop()
+            return AAbs(t.binder, body)
         if isinstance(t, TupleT):
-            return GTuple(tuple(go(item) for item in t.items))
+            return ATuple(tuple(go(item) for item in t.items))
         if t.sort not in builders:
             raise Uninhabited(t)
         con = builders[t.sort]
-        return GApp(con, go(sig.arg_type(con)))
+        return AApp(con, go(sig.arg_type(con)))
 
-    return go(ty)
+    return AlphaTree(go(ty))

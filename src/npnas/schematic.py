@@ -29,10 +29,6 @@ from .kernel import (
     AUNIT,
     AUnit,
     DataSortT,
-    GApp,
-    GTuple,
-    GUNIT,
-    GroundTree,
     Name,
     NameSortT,
     Signature,
@@ -352,16 +348,6 @@ def satisfies_all(V: Valuation, p: Problem) -> bool:
 
 # ---------------------------------------------------------------------------
 # Sizes
-
-def tree_size(g: GroundTree) -> int:
-    if isinstance(g, (Name, type(GUNIT))):
-        return 1
-    if isinstance(g, GTuple):
-        return 1 + sum(tree_size(item) for item in g.items)
-    if isinstance(g, GApp):
-        return 1 + tree_size(g.arg)
-    return 2 + tree_size(g.body)
-
 
 def atree_size(a: AlphaTree) -> int:
     def go(node) -> int:

@@ -9,15 +9,7 @@ import time
 from npnas.decider import SolveOptions, decide
 from npnas.eubridge import EU_SIGNATURE, eu_brute_sat, translate_eu
 from npnas.foreduce import fo_sat, fo_solution, measure, measure_less
-from npnas.kernel import (
-    NameSortT,
-    alpha_eq,
-    canonicalize,
-    perm_apply,
-    swap,
-    Name,
-    make_signature,
-)
+from npnas.kernel import NameSortT, Name, canonicalize, make_signature
 from npnas.cli import parse_eu, parse_problem
 from npnas.oracle import brute_sat, random_eu_problem, random_problem
 from npnas.rewrite import successors
@@ -29,10 +21,10 @@ from npnas.schematic import (
     Var,
     satisfies,
     satisfies_all,
-    tree_size,
 )
 
 from conftest import random_gtree
+from ground_ref import alpha_eq, perm_apply, swap, tree_size
 
 
 def report(n: int):

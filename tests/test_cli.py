@@ -19,7 +19,6 @@ from npnas.kernel import (
     NameSortT,
     TupleT,
     UNIT_T,
-    check_tree,
     realize,
 )
 from npnas.schematic import (
@@ -31,6 +30,8 @@ from npnas.schematic import (
     check_problem,
     satisfies_all,
 )
+
+from ground_ref import check_tree
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +238,38 @@ def test_pool_guard():
     p = EUProblem((), ("A",), (), (EUEq(Vertex("A"), Vertex("A")),))
     with pytest.raises(PoolTooLarge):
         eu_brute_sat(p, pool=100)
+
+
+# `scripts/search_families.py eu 5 --seed 105 --count 30`, instance 23: its
+# pool is the guard's 24 atoms, and its third constraint fails outright.
+EARLY_CLASH = (
+    "(eu (names c0 c1) (name-vars A0 A1 A2 A3 A4) (perm-vars Q0 Q1)"
+    " (constraints"
+    " (eq (app (swap A4 (app Q0 c0)) (app (swap (app Q0 A2) A0) (app Q1 A3)))"
+    "     (app Q1 c1))"
+    " (fresh (app Q0 c0) (app (swap (app Q1 c0) c1) (app Q0 c1)))"
+    " (eq c0 c1)"
+    " (eq (app Q0 c0) (app Q1 c1))"
+    " (eq (app (swap (app Q0 A2) (app Q1 c0)) (app Q1 A3)) A3)))")
+
+
+class _OutOfTime(Exception):
+    pass
+
+
+def test_brute_force_meets_an_outright_clash_first():
+    # Checked in input order, every image choice of the first two
+    # constraints comes before (eq c0 c1): minutes of work.
+    def stop(signum, frame):
+        raise _OutOfTime
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        assert not eu_brute_sat(parse_eu(EARLY_CLASH))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npnas.kernel import (
-    GAbs,
-    GApp,
-    GTuple,
-    GUNIT,
-    IDENTITY,
-    Name,
-    alpha_eq,
-    canonicalize,
-    free_names,
-    perm_apply,
-    realize,
-    swap,
-)
+from npnas.kernel import GAbs, GApp, GTuple, GUNIT, Name, canonicalize, realize
 from npnas import eubridge
 from npnas.cli import (
     _position, _tokens, format_problem, main, parse_eu, parse_problem)
@@ -39,6 +26,8 @@ from npnas.oracle import (
 from npnas.schematic import (
     Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, SUnit, Var, satisfies_all,
     subst_term)
+
+from ground_ref import IDENTITY, alpha_eq, free_names, perm_apply, swap
 
 names = st.integers(0, 3).map(lambda i: Name("nm", i))
 

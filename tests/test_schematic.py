@@ -49,12 +49,12 @@ from npnas.schematic import (
     subst_constraint,
     subst_term,
     term_size,
-    tree_size,
     wrap_abs,
 )
 from npnas.oracle import small_signature
 
 from conftest import random_gtree
+from ground_ref import tree_size
 
 NM = NameSortT("nm")
 TM = DataSortT("tm")
