@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Verdict, nodes and seconds of the focused search on two families with a
-size parameter n, one line per instance, then the totals.
+"""Verdict, nodes and seconds of the focused search on three families with
+a size parameter n, one line per instance, then the totals.
 
     PYTHONPATH=src python scripts/search_families.py eu N [--seed S] [--count C]
     PYTHONPATH=src python scripts/search_families.py pigeonhole N
+    PYTHONPATH=src python scripts/search_families.py deep N [--seed S] [--count C]
 
 eu: C scaled equivariant unification problems (default 20) drawn from
 `random.Random(S)` (default S = N), translated by `translate_eu`.  Each has
@@ -20,14 +21,25 @@ equation puts a_i at the binder of some b_j, and the freshness forbids it
 to stay free, so N names would need N distinct binders out of N - 1: every
 instance is unsat.
 
-Each line shows the oracle's verdict: `eu_brute_sat` for eu, and for
-pigeonhole `brute_sat` with one pool name per variable, which makes it
-exact; `-` when its pool is over its guard or it runs past ORACLE_SECONDS.
+deep: C problems in the shape of the benchmark's np-deep workload (default
+10), drawn from `random.Random(S)` (default S = N), alternately sat and
+buried.  Both read `<a>x = <b>T(f0)` and `<a>x = <b>T(f1)`, with T nested N
+levels over `oracle.small_signature()`: each level is (con L (abs cI .))
+with one of the binder variables c0, c1 and c2, or (con P (tuple . leaf))
+in either order, with leaf (con Z unit) or the variable y.  sat is solved
+by a = b, f0 = f1 and x = T(f0); buried adds `(fresh f0 f1)`, which makes
+it unsat although its first-order collapse unifies.  The solver's walks
+recurse once or more per level, so this family runs in one worker thread
+with a large stack and a raised recursion limit.
+
+Each eu and pigeonhole line shows the oracle's verdict: `eu_brute_sat` for
+eu, and for pigeonhole `brute_sat` with one pool name per variable, which
+makes it exact; `-` when its pool is over its guard or it runs past
+ORACLE_SECONDS.  Each deep line shows the planted verdict instead.
 
 A solve that expands more than BUDGET nodes prints `budget` and is left
-out of the node total.  The exit code is 1 when a
-verdict disagrees with an oracle or with the planted answer.  Standard
-library only.
+out of the node total.  The exit code is 1 when a verdict disagrees with
+an oracle or with the planted answer.  Standard library only.
 """
 import argparse
 import random
@@ -39,9 +51,10 @@ from npnas.errors import BudgetExhausted, PoolTooLarge, SearchSpaceTooLarge
 from npnas.eubridge import (
     EU_SIGNATURE, EUEq, EUFresh, EUProblem, PSwap, PVar, Susp, Vertex,
     eu_brute_sat, translate_eu)
-from npnas.kernel import NameSortT, make_signature
-from npnas.oracle import brute_sat
-from npnas.schematic import Eq, Fresh, Problem, SAbs, Var
+from npnas.kernel import DataSortT, NameSortT, make_signature
+from npnas.oracle import brute_sat, small_signature
+from npnas.schematic import Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var
+from witness_depth import run_in_big_stack
 
 BUDGET = 60_000
 ORACLE_SECONDS = 2.0
@@ -86,6 +99,25 @@ def pigeonhole(n: int) -> Problem:
     return Problem(env, tuple(cs))
 
 
+def deep(rng: random.Random, depth: int, buried: bool) -> Problem:
+    ts = [SApp("V", Var("f0")), SApp("V", Var("f1"))]
+    for _ in range(depth):
+        if rng.random() < 0.5:
+            binder = f"c{rng.randrange(3)}"
+            ts = [SApp("L", SAbs(binder, t)) for t in ts]
+        else:
+            leaf = rng.choice((SApp("Z", SUNIT), Var("y")))
+            left = rng.random() < 0.5
+            ts = [SApp("P", STuple((t, leaf) if left else (leaf, t)))
+                  for t in ts]
+    env = {v: NameSortT("nm") for v in ("a", "b", "f0", "f1", "c0", "c1", "c2")}
+    env.update(x=DataSortT("tm"), y=DataSortT("tm"))
+    cs = [Eq(SAbs("a", Var("x")), SAbs("b", t)) for t in ts]
+    if buried:
+        cs.append(Fresh("f0", Var("f1")))
+    return Problem(env, tuple(cs))
+
+
 class _OutOfTime(Exception):
     pass
 
@@ -113,22 +145,35 @@ def oracle(sig, p: Problem, ep: EUProblem | None):
 def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    ap.add_argument("family", choices=("eu", "pigeonhole"))
+    ap.add_argument("family", choices=("eu", "pigeonhole", "deep"))
     ap.add_argument("n", type=int)
-    ap.add_argument("--seed", type=int, help="eu only; default N")
-    ap.add_argument("--count", type=int, default=20, help="eu only")
+    ap.add_argument("--seed", type=int, help="eu and deep only; default N")
+    ap.add_argument("--count", type=int,
+                    help="eu and deep only; default 20 for eu, 10 for deep")
     args = ap.parse_args()
 
+    # Cases (signature, problem, .eu problem or None, planted verdict or None).
+    rng = random.Random(args.n if args.seed is None else args.seed)
     if args.family == "eu":
-        rng = random.Random(args.n if args.seed is None else args.seed)
-        eps = [scaled_eu(rng, args.n) for _ in range(args.count)]
-        cases = [(EU_SIGNATURE, translate_eu(ep), ep) for ep in eps]
+        eps = [scaled_eu(rng, args.n) for _ in range(args.count or 20)]
+        cases = [(EU_SIGNATURE, translate_eu(ep), ep, None) for ep in eps]
+    elif args.family == "pigeonhole":
+        cases = [(NAME, pigeonhole(args.n), None, False)]
     else:
-        cases = [(NAME, pigeonhole(args.n), None)]
+        sig = small_signature()
+        cases = [(sig, deep(rng, args.n, i % 2 == 1), None, i % 2 == 0)
+                 for i in range(args.count or 10)]
+        code = []
+        run_in_big_stack(lambda: code.append(solve_all(cases, False)))
+        return code[0]
+    return solve_all(cases, True)
 
+
+def solve_all(cases, ask_oracle: bool) -> int:
+    """Solve and print every case; 1 when a verdict is wrong, else 0."""
     wrong = nodes = over = 0
     seconds = 0.0
-    for i, (sig, p, ep) in enumerate(cases):
+    for i, (sig, p, ep, planted) in enumerate(cases):
         t0 = time.perf_counter()
         try:
             r = decide(sig, p, SolveOptions(budget=BUDGET))
@@ -141,13 +186,17 @@ def main() -> int:
             print(f"{i} budget - {dt:.3f}")
             continue
         nodes += r.nodes
-        expected = oracle(sig, p, ep)
-        line = (f"{i} {'sat' if r.sat else 'unsat'} {r.nodes} {dt:.3f} "
-                f"oracle={VERDICT[expected]}")
-        if expected not in (None, r.sat) or (ep is None and r.sat):
+        line = f"{i} {'sat' if r.sat else 'unsat'} {r.nodes} {dt:.3f} "
+        if ask_oracle:
+            expected = oracle(sig, p, ep)
+            line += f"oracle={VERDICT[expected]}"
+        else:
+            expected = None
+            line += f"planted={VERDICT[planted]}"
+        if expected not in (None, r.sat) or planted not in (None, r.sat):
             wrong += 1
             line += " WRONG"
-        print(line)
+        print(line, flush=True)
     print(f"total: {nodes} nodes in {seconds:.2f} s over "
           f"{len(cases) - over} solves, {over} over budget, {wrong} wrong")
     return 1 if wrong else 0

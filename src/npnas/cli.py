@@ -35,7 +35,8 @@ import traceback
 from . import eubridge
 from .decider import SolveOptions, decide
 from .errors import (BudgetExhausted, NotSolved, NpnasError, PoolTooLarge,
-                     SearchSpaceTooLarge, SourceSyntaxError, UndeclaredSort)
+                     SearchSpaceTooLarge, SourceSyntaxError, UndeclaredSort,
+                     ValidationError)
 from .foreduce import fl_problem, fo_sat
 from .kernel import (AbsT, DataSortT, NameSortT, Signature, TupleT, Type,
                      UNIT_T, make_signature, realize)
@@ -363,7 +364,10 @@ def parse_eu(text: str) -> eubridge.EUProblem:
 
 def _load(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not UTF-8 text") from None
 
 
 def cmd_check(args) -> int:

@@ -7,7 +7,7 @@ the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
 
 The search departs from the paper's relation (`rewrite.expand`,
-`successors`) in six ways.  The two shortcuts are sound because every
+`successors`) in seven ways.  The two shortcuts are sound because every
 rule's branch set preserves satisfiability: one reducible constraint's
 branches are a complete choice, and the search terminates under any
 selection once the collapse succeeds.
@@ -60,6 +60,24 @@ selection once the collapse succeeds.
   the branch tried first leaves each swap gadget of a chain two `fresh`
   constraints that every later `eq x y` rewrites into copies of the same
   ones, and every pending sibling keeps its own.
+- Narrowing and decomposition to the leaves: a reducible `<xs>x = <ys>t`
+  with xs non-empty maps x to t's whole constructor skeleton in one step,
+  with its own fresh variable for each variable and each binder of t.  The
+  step keeps `eq x skeleton`, substitutes x in the rest and keeps the
+  leaves of the equation with x replaced.  An equation whose sides have
+  the same constructor, tuple or unit head goes to its leaves in one step:
+  unit pairs drop out and a constructor mismatch stays as a clash.  Each
+  step is the composition of `expand`'s single-branch narrowing and
+  decomposition steps on one constraint and its descendants, which ends
+  when none of them decomposes or narrows a variable the steps introduced.
+  It leaves out the `eq v pattern` that each later narrowing keeps, since v
+  occurs nowhere else, as for the store.  Each of those steps is an
+  equivalence, with the fresh variables read existentially, so the
+  composite preserves satisfiability, and each decreases the paper's
+  termination measure, so the composite does too (Martelli and Montanari
+  apply chains of single-branch steps at once in the same way).  The
+  block keeps q's other constraints in order, each kept or rewritten by
+  x's substitution, as the tags need.
 """
 from __future__ import annotations
 
@@ -73,10 +91,12 @@ from .rewrite import (
     SOLVED_ASSIGN,
     SOLVED_FORMS,
     SOLVED_FRESH,
+    _replace,
     _split_eq,
     _subst_rest,
     clash_kind,
     expand,
+    fresh_vars,
     has_clash,
     shared_vars,
     statuses,
@@ -87,6 +107,7 @@ from .schematic import (
     Eq,
     Fresh,
     Problem,
+    SAbs,
     SApp,
     STuple,
     SUnit,
@@ -98,6 +119,7 @@ from .schematic import (
     instantiate,
     problem_vars,
     satisfies_all,
+    subst_constraint,
 )
 
 
@@ -180,12 +202,98 @@ def _branching(env: Env, c: Constraint) -> bool:
 def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
     """The branches the search explores for reducible constraint i: all of
     `expand`'s, but only the first orientation of `eq x y` (x ≠ y: `expand`
-    drops `eq x x`)."""
+    drops `eq x x`), and narrowing and decomposition carried to the leaves
+    in one step."""
     c = q.constraints[i]
-    if (isinstance(c, Eq) and isinstance(c.lhs, Var)
-            and isinstance(c.rhs, Var) and c.lhs != c.rhs):
-        return (_subst_rest(q, i, [c], c.lhs.name, c.rhs),)
+    if isinstance(c, Eq):
+        xs, bl, _, br = _split_eq(c)
+        if not isinstance(bl, Var) and not isinstance(br, Var):
+            return (_replace(q, i, _leaves(c.lhs, c.rhs)),)
+        if isinstance(bl, Var) and isinstance(br, Var):
+            if not xs and bl != br:
+                return (_subst_rest(q, i, [c], bl.name, br),)
+        elif xs:
+            x, t = (bl, br) if isinstance(bl, Var) else (br, bl)
+            return (_narrow_to_skeleton(sig, q, i, x, t),)
     return expand(sig, q, i, verify=False)
+
+
+def _wrap(prefix: tuple | None, core: Term) -> Term:
+    """core under the binders of `prefix`, a linked list (binder, outer)
+    that starts with the innermost binder."""
+    while prefix is not None:
+        binder, prefix = prefix
+        core = SAbs(binder, core)
+    return core
+
+
+def _leaves(lhs: Term, rhs: Term) -> list[Constraint]:
+    """The equations left, in left-to-right order, when `eq lhs rhs` is
+    decomposed wherever both sides have the same constructor, tuple or unit
+    head: a pair of units drops out, and a pair of distinct constructors
+    stays as a clash.  Binder prefixes are carried down as linked lists and
+    wrapped once per leaf."""
+    out: list[Constraint] = []
+    stack: list[tuple] = [(None, lhs, None, rhs)]
+    while stack:
+        xs, l, ys, r = stack.pop()
+        while isinstance(l, SAbs) and isinstance(r, SAbs):
+            xs, l = (l.binder, xs), l.body
+            ys, r = (r.binder, ys), r.body
+        if isinstance(l, SApp) and isinstance(r, SApp) and l.con == r.con:
+            stack.append((xs, l.arg, ys, r.arg))
+        elif isinstance(l, STuple) and isinstance(r, STuple):
+            stack.extend((xs, a, ys, b) for a, b in
+                         zip(reversed(l.items), reversed(r.items)))
+        elif not (isinstance(l, SUnit) and isinstance(r, SUnit)):
+            out.append(Eq(_wrap(xs, l), _wrap(ys, r)))
+    return out
+
+
+def _narrow_to_skeleton(sig: Signature, q: Problem, i: int, x: Var,
+                        t: Term) -> Problem:
+    """Narrowing of x in reducible constraint i, `<xs>x = <ys>t` with xs
+    non-empty, carried through all of t: x becomes t's constructor
+    skeleton, with its own fresh variable for each variable and each binder
+    of t, typed from x's type down.  The block keeps `eq x skeleton` and
+    the leaves of constraint i with x replaced; x is replaced in the rest."""
+    env = q.env
+    nodes: list[tuple[Term, Type]] = []  # t's nodes in pre-order, typed
+    stack: list[tuple[Term, Type]] = [(t, env[x.name])]
+    while stack:
+        u, ty = stack.pop()
+        nodes.append((u, ty))
+        if isinstance(u, SApp):
+            stack.append((u.arg, sig.arg_type(u.con)))
+        elif isinstance(u, STuple):
+            stack.extend(zip(reversed(u.items), reversed(ty.items)))
+        elif isinstance(u, SAbs):
+            stack.append((u.body, ty.body))
+    count = sum(isinstance(u, (Var, SAbs)) for u, _ in nodes)
+    fresh = list(fresh_vars(frozenset(env) | problem_vars(q), count))
+    new_env = dict(env)
+    # In reverse pre-order children come before their parent, first child
+    # on top, and the fresh names are taken from the end.
+    built: list[Term] = []
+    for u, ty in reversed(nodes):
+        if isinstance(u, Var):
+            v = fresh.pop()
+            new_env[v] = ty
+            built.append(Var(v))
+        elif isinstance(u, SAbs):
+            v = fresh.pop()
+            new_env[v] = NameSortT(ty.binder)
+            built.append(SAbs(v, built.pop()))
+        elif isinstance(u, SApp):
+            built.append(SApp(u.con, built.pop()))
+        elif isinstance(u, SUnit):
+            built.append(u)
+        else:
+            built.append(STuple(tuple(built.pop() for _ in u.items)))
+    (skeleton,) = built
+    kept = subst_constraint(q.constraints[i], x.name, skeleton)
+    block = [Eq(x, skeleton), *_leaves(kept.lhs, kept.rhs)]
+    return _subst_rest(q, i, block, x.name, skeleton, env=new_env)
 
 
 def _shelve(q: Problem, tags: tuple[int, ...] | None = None):

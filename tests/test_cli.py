@@ -138,6 +138,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_readme_transcripts_match_the_cli(capsys, monkeypatch):
+    # Each ```text block of the README that starts with `$ npnas ...` shows
+    # that command's whole output, run from the root of the repository.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```text\n\$ npnas ([^\n]*)\n(.*?)```", readme, re.S)
+    assert blocks
+    monkeypatch.chdir(ROOT)
+    for command, shown in blocks:
+        _, out, _ = run(capsys, *command.split())
+        assert out == shown, command
+
+
 def test_check_command(capsys):
     code, out, _ = run(capsys, "check", str(PROBLEMS / "swap-pair.np"))
     assert code == 0 and out.strip() == "ok"
@@ -203,6 +215,18 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "solve", "no-such-file.np")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command, suffix", [
+    ("check", ".np"), ("check", ".eu"), ("solve", ".np"), ("fo", ".np"),
+    ("oracle", ".np"), ("translate-eu", ".eu"), ("eu-oracle", ".eu")])
+def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, command,
+                                              suffix):
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_bytes(b"\xff\xfe(")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}: not UTF-8 text\n"
 
 
 def test_syntax_error_is_usage_error(tmp_path, capsys):

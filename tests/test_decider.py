@@ -1,5 +1,7 @@
 import gc
+import itertools
 import random
+import sys
 import weakref
 from pathlib import Path
 
@@ -160,7 +162,27 @@ def test_deep_sat_search_never_realizes(sig, monkeypatch):
            "x": TM, "y": TM}
     p = Problem(env, (Eq(SAbs("a", Var("x")), SAbs("b", t)),))
     r = decide(sig, p)
-    assert r.sat and r.nodes > 60 and satisfies_all(r.witness, p)
+    assert r.sat and satisfies_all(r.witness, p)
+    # x's value holds the 60 levels and the core (con V f).
+    assert _constructor_depth(r.witness["x"].node) == 61
+
+
+def _constructor_depth(node):
+    """The most constructor applications on one path down an alpha-tree
+    node."""
+    deepest = 0
+    stack = [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, kernel.AApp):
+            depth += 1
+            stack.append((node.arg, depth))
+        elif isinstance(node, kernel.ATuple):
+            stack.extend((item, depth) for item in node.items)
+        elif isinstance(node, kernel.AAbs):
+            stack.append((node.body, depth))
+        deepest = max(deepest, depth)
+    return deepest
 
 
 def test_shared_values_avoid_the_name_pool(sig):
@@ -203,24 +225,38 @@ def _deep_term(depth):
 
 
 def test_solved_equations_leave_the_search_state(sig, monkeypatch):
-    # Narrowing x keeps `eq x pattern`, solved at once; it moves to the
-    # store instead of being substituted into again at every later step.
-    p = Problem({"a": NM, "b": NM, "x": TM},
-                (Eq(SAbs("a", Var("x")), SAbs("b", _deep_term(40))),))
+    # Each `<a>x_i = <b>(con L (abs c x_i+1))` narrows x_i, and narrowing
+    # keeps `eq x_i skeleton`, solved at once; it moves to the store
+    # instead of being substituted into again at every later step.  The
+    # leaf it leaves narrows again once x_i+1 is narrowed.
+    n = 20
+    env = {"a": NM, "b": NM, "c": NM}
+    env.update((f"x{i}", TM) for i in range(n + 1))
+    p = Problem(env, tuple(
+        Eq(SAbs("a", Var(f"x{i}")),
+           SAbs("b", SApp("L", SAbs("c", Var(f"x{i + 1}")))))
+        for i in range(n)))
     expanded = []
-    branches = decider._branches
+    moves = []
+    branches, shelve = decider._branches, decider._shelve
 
     def record(s, q, i):
         expanded.append(q)
         return branches(s, q, i)
 
+    def record_moves(q, tags=None):
+        out = shelve(q, tags)
+        moves.append(len(out[1]))
+        return out
+
     monkeypatch.setattr(decider, "_branches", record)
+    monkeypatch.setattr(decider, "_shelve", record_moves)
     r = decide(sig, p)
     assert r.sat and satisfies_all(r.witness, p)
-    assert len(expanded) > 100
+    assert len(expanded) > 100 and sum(map(bool, moves)) > 100
     for q in expanded:
         assert SOLVED_ASSIGN not in statuses(q), q
-    assert max(len(q.constraints) for q in expanded) < 40
+    assert max(len(q.constraints) for q in expanded) <= n
 
 
 def test_a_swap_chain_keeps_no_repeated_freshness(monkeypatch):
@@ -530,3 +566,167 @@ def test_every_successor_replaces_one_constraint_by_a_block():
                     assert new == schematic.subst_constraint(old, *sub)
                     rewritten += 1
     assert kept > 1000 and rewritten > 100, (kept, rewritten)
+
+
+# ---------------------------------------------------------------------------
+# Narrowing and decomposition to the leaves in one step
+
+def _fused_rule(q, j, st):
+    """'decompose' or 'narrow' when the search takes constraint j of q to
+    its leaves in one step, else None; with the variable narrowed."""
+    c = q.constraints[j]
+    if st[j] is not None or not isinstance(c, Eq):
+        return None, None
+    xs, bl, _, br = rewrite._split_eq(c)
+    if not isinstance(bl, Var) and not isinstance(br, Var):
+        return "decompose", None
+    if isinstance(bl, Var) != isinstance(br, Var) and xs:
+        return "narrow", (bl if isinstance(bl, Var) else br).name
+    return None, None
+
+
+def _single_steps(sig, q, i):
+    """q after `expand` applies to constraint i and then to its descendants,
+    the block that stands for i, while one of them decomposes or narrows a
+    variable these steps introduced.  Returns the problem and the variables
+    introduced."""
+    introduced = set()
+    lo, hi, j = i, i + 1, i
+    while j is not None:
+        (kid,) = expand(sig, q, j)
+        hi += len(kid.constraints) - len(q.constraints)
+        introduced |= kid.env.keys() - q.env.keys()
+        q = kid
+        st = statuses(q)
+        j = None
+        for k in range(lo, hi):
+            rule, x = _fused_rule(q, k, st)
+            if rule == "decompose" or x in introduced:
+                j = k
+                break
+    return q, introduced
+
+
+def _scan(c):
+    """c's tokens, each with whether it is a variable."""
+    toks = decider._tokens(c)
+    k = 0
+    while k < len(toks):
+        tag = toks[k]
+        yield tag, False
+        if tag not in ("eq", "unit"):
+            yield toks[k + 1], tag in ("var", "abs", "fresh")
+        k += 1 if tag in ("eq", "unit") else 2
+
+
+def _renamed(q, old):
+    """q's constraints as one token sequence, each variable not in `old`
+    renamed by its first occurrence, and the renamed variables' types in
+    that order."""
+    names = {}
+    out = []
+    for c in q.constraints:
+        for tok, is_var in _scan(c):
+            if is_var and tok not in old:
+                tok = names.setdefault(tok, f"#{len(names)}")
+            out.append(tok)
+    return out, [q.env[x] for x in names]
+
+
+def _np_deep_shaped(rng, depth, buried):
+    """np-deep's shape: `<a>x = <b>T(f0)` and `<a>x = <b>T(f1)`, with T
+    `depth` levels of (con L (abs cI .)) or (con P (tuple . leaf)), leaf
+    (con Z unit) or y, in either order; buried adds `fresh f0 f1`."""
+    ts = [SApp("V", Var("f0")), SApp("V", Var("f1"))]
+    for _ in range(depth):
+        if rng.random() < 0.5:
+            c = f"c{rng.randrange(3)}"
+            ts = [SApp("L", SAbs(c, t)) for t in ts]
+        else:
+            leaf = rng.choice((SApp("Z", SUNIT), Var("y")))
+            left = rng.random() < 0.5
+            ts = [SApp("P", STuple((t, leaf) if left else (leaf, t)))
+                  for t in ts]
+    env = {v: NM for v in ("a", "b", "f0", "f1", "c0", "c1", "c2")}
+    env.update(x=TM, y=TM)
+    cs = [Eq(SAbs("a", Var("x")), SAbs("b", t)) for t in ts]
+    if buried:
+        cs.append(Fresh("f0", Var("f1")))
+    return Problem(env, tuple(cs))
+
+
+def _deep_shaped_states():
+    sig = oracle.small_signature()
+    rng = random.Random(52)
+    for depth in range(1, 7):
+        for buried in (False, True):
+            for _ in range(3):
+                p = _np_deep_shaped(rng, depth, buried)
+                yield from ((sig, q) for q in _search_states(sig, p))
+
+
+def _fused_steps():
+    """(sig, q, i, rule) for every constraint of the sampled and
+    np-deep-shaped states that the search takes to its leaves in one
+    step."""
+    for s, q in itertools.chain(_sampled_states(), _deep_shaped_states()):
+        st = statuses(q)
+        for i in range(len(st)):
+            rule, _ = _fused_rule(q, i, st)
+            if rule is not None:
+                yield s, q, i, rule
+
+
+def test_one_step_to_the_leaves_composes_expands_steps():
+    counts = {"decompose": 0, "narrow": 0, "chained": 0}
+    for s, q, i, rule in _fused_steps():
+        (fused,) = decider._branches(s, q, i)
+        ref, introduced = _single_steps(s, q, i)
+        # Each single narrowing keeps `eq v pattern`; the one step keeps
+        # only the first variable's, and v occurs nowhere else.
+        kept = tuple(c for c in ref.constraints
+                     if not (isinstance(c, Eq) and isinstance(c.lhs, Var)
+                             and c.lhs.name in introduced))
+        assert (_renamed(fused, q.env)
+                == _renamed(Problem(ref.env, kept), q.env)), (q, i)
+        counts[rule] += 1
+        counts["chained"] += len(fused.constraints) != len(
+            expand(s, q, i)[0].constraints)
+    assert min(counts.values()) > 100, counts
+
+
+def test_one_step_to_the_leaves_decreases_the_measure():
+    stepped = 0
+    for s, q, i, _ in _fused_steps():
+        if not foreduce.fo_sat(s, q):
+            continue
+        (kid,) = decider._branches(s, q, i)
+        assert foreduce.fo_sat(s, kid), (q, i)
+        before = foreduce.measure(s, q, foreduce.fo_solution(s, q))
+        after = foreduce.measure(s, kid, foreduce.fo_solution(s, kid))
+        assert foreduce.measure_less(after, before), (q, i)
+        stepped += 1
+    assert stepped > 200
+
+
+def test_a_deep_skeleton_is_built_without_recursion(sig):
+    # 3,000 levels: 1,500 binders and the core's variable get fresh
+    # variables, and the kept equation leaves one leaf, the core's.
+    t = _deep_term(3000)
+    p = Problem({"a": NM, "b": NM, "x": TM},
+                (Eq(SAbs("a", Var("x")), SAbs("b", t)),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        (kid,) = decider._branches(sig, p, 0)
+        keep, leaf = kid.constraints
+        shape = [(v, "?" if v else tok) for tok, v in _scan(Eq(Var("x"), t))]
+        assert [(v, "?" if v else tok) for tok, v in _scan(keep)] == shape
+        names = [tok for tok, v in _scan(keep) if v][1:]
+        assert len(set(names)) == len(names) == 1501
+        assert all(kid.env[v] == NM and v not in p.env for v in names)
+        xs, core = schematic.abs_prefix(leaf.lhs)
+        ys, _ = schematic.abs_prefix(leaf.rhs)
+        assert len(xs) == len(ys) == 1501 and isinstance(core, Var)
+    finally:
+        sys.setrecursionlimit(limit)
