@@ -4,15 +4,14 @@
     python scripts/paired.py PARENT CHANGE [--family np|eu|deep] [--pairs N]
 
 PARENT and CHANGE are checkouts of this repository (directories that hold
-src/npnas).  The input is built once, by PARENT's generators: 4,000
-`random_problem` of seed 1 written with `format_problem` (family np),
-300 `random_eu_problem` of seed 10 written as .eu text (family eu), or the
-40 texts of `np_deep()` in PARENT's perfbench/workloads.py (family deep;
-only that file of the benchmark is read).  One worker process per checkout
-gets the same texts; it runs with PYTHONHASHSEED=0 and that checkout's src
-first on its path.  A round reads, decides and renders every text once, as
-`npnas solve` does for one file, and its time is the sum of the per-file
-times.  After one warm-up round each, rounds alternate in ABBA order
+src/npnas).  The input is built once, by PARENT's perfbench/workloads.py:
+the texts of the benchmark's workload np-stream (family np, `np_stream()`),
+eu-stream (eu, `eu_stream()`) or np-deep (deep, `np_deep()`), in the order
+those functions build them.  Only that file of the benchmark is read.  One
+worker process per checkout gets the same texts; it runs with
+PYTHONHASHSEED=0 and that checkout's src first on its path.  A round
+reads, decides and renders every text once, as `npnas solve` does for one
+file, and its time is the sum of the per-file times.  After one warm-up round each, rounds alternate in ABBA order
 (parent, change, change, parent, ...), so drift on a shared host falls on
 both sides alike; pair k is the k-th timed round of each side.
 
@@ -32,21 +31,12 @@ def worker() -> None:
     """Serve one JSON request per line of stdin with one JSON line."""
     import gc
     import importlib.util
-    import random
     import time
 
     import npnas
     from npnas import cli, eubridge
     from npnas.decider import decide
     from npnas.kernel import realize
-    from npnas.oracle import random_eu_problem, random_problem
-
-    def render_eu(p) -> str:
-        return (f"(eu (names {' '.join(p.names)})\n"
-                f"    (name-vars {' '.join(p.name_vars)})\n"
-                f"    (perm-vars {' '.join(p.perm_vars)})\n"
-                "    (constraints" + "".join(f"\n      {c}"
-                                             for c in p.constraints) + "))\n")
 
     def solve(text: str, eu: bool):
         if eu:
@@ -71,23 +61,16 @@ def worker() -> None:
     for line in sys.stdin:
         req = json.loads(line)
         if req["do"] == "build":
-            if req["family"] == "np":
-                rng = random.Random(1)
-                out = [cli.format_problem(*random_problem(rng))
-                       for _ in range(4000)]
-            elif req["family"] == "deep":
-                root = os.path.dirname(os.path.dirname(
-                    os.path.dirname(os.path.abspath(npnas.__file__))))
-                spec = importlib.util.spec_from_file_location(
-                    "workloads", os.path.join(root, "perfbench", "workloads.py"))
-                workloads = importlib.util.module_from_spec(spec)
-                sys.modules["workloads"] = workloads  # its dataclass looks here
-                spec.loader.exec_module(workloads)
-                out = [item.text for item in workloads.np_deep()]
-            else:
-                rng = random.Random(10)
-                out = [render_eu(random_eu_problem(rng)) for _ in range(300)]
-            reply = {"texts": out}
+            root = os.path.dirname(os.path.dirname(
+                os.path.dirname(os.path.abspath(npnas.__file__))))
+            spec = importlib.util.spec_from_file_location(
+                "workloads", os.path.join(root, "perfbench", "workloads.py"))
+            workloads = importlib.util.module_from_spec(spec)
+            sys.modules["workloads"] = workloads  # its dataclass looks here
+            spec.loader.exec_module(workloads)
+            build = {"np": workloads.np_stream, "eu": workloads.eu_stream,
+                     "deep": workloads.np_deep}[req["family"]]
+            reply = {"texts": [item.text for item in build()]}
         elif req["do"] == "load":
             texts, eu = req["texts"], req["family"] == "eu"
             reply = {}

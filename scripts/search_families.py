@@ -21,40 +21,47 @@ equation puts a_i at the binder of some b_j, and the freshness forbids it
 to stay free, so N names would need N distinct binders out of N - 1: every
 instance is unsat.
 
-deep: C problems in the shape of the benchmark's np-deep workload (default
-10), drawn from `random.Random(S)` (default S = N), alternately sat and
-buried.  Both read `<a>x = <b>T(f0)` and `<a>x = <b>T(f1)`, with T nested N
-levels over `oracle.small_signature()`: each level is (con L (abs cI .))
-with one of the binder variables c0, c1 and c2, or (con P (tuple . leaf))
-in either order, with leaf (con Z unit) or the variable y.  sat is solved
-by a = b, f0 = f1 and x = T(f0); buried adds `(fresh f0 f1)`, which makes
-it unsat although its first-order collapse unifies.  The solver's walks
-recurse once or more per level, so this family runs in one worker thread
-with a large stack and a raised recursion limit.
+deep: C problems of the benchmark's np-deep workload (default 10): instance
+i is `deep_problem(F, N, f"{S}/{i}")` from perfbench/workloads.py (default
+S = N), with F = sat for even i and buried for odd i.  Both read
+`<a>x = <b>T(f0)` and `<a>x = <b>T(f1)` with T nested N levels; sat is
+solved by a = b, f0 = f1 and x = T(f0), and buried adds `(fresh f0 f1)`,
+which makes it unsat although its first-order collapse unifies.  The
+solver's walks recurse once or more per level, so this family runs in one
+worker thread with a 512 MiB stack and a raised recursion limit.
 
 Each eu and pigeonhole line shows the oracle's verdict: `eu_brute_sat` for
 eu, and for pigeonhole `brute_sat` with one pool name per variable, which
 makes it exact; `-` when its pool is over its guard or it runs past
-ORACLE_SECONDS.  Each deep line shows the planted verdict instead.
+ORACLE_SECONDS.  Each deep line shows the planted verdict instead.  The
+columns are the instance, the verdict, the nodes, the seconds of `decide`
+and the seconds of those spent in `decider.extract_witness`.
 
 A solve that expands more than BUDGET nodes prints `budget` and is left
 out of the node total.  The exit code is 1 when a verdict disagrees with
 an oracle or with the planted answer.  Standard library only.
 """
 import argparse
+import os
 import random
 import signal
+import sys
+import threading
 import time
 
-from npnas.decider import SolveOptions, decide
+from npnas import decider
+from npnas.decider import SolveOptions
 from npnas.errors import BudgetExhausted, PoolTooLarge, SearchSpaceTooLarge
 from npnas.eubridge import (
     EU_SIGNATURE, EUEq, EUFresh, EUProblem, PSwap, PVar, Susp, Vertex,
     eu_brute_sat, translate_eu)
-from npnas.kernel import DataSortT, NameSortT, make_signature
+from npnas.kernel import NameSortT, make_signature
 from npnas.oracle import brute_sat, small_signature
-from npnas.schematic import Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var
-from witness_depth import run_in_big_stack
+from npnas.schematic import Eq, Fresh, Problem, SAbs, Var
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+from workloads import deep_problem  # noqa: E402  (the benchmark's np-deep)
 
 BUDGET = 60_000
 ORACLE_SECONDS = 2.0
@@ -99,25 +106,6 @@ def pigeonhole(n: int) -> Problem:
     return Problem(env, tuple(cs))
 
 
-def deep(rng: random.Random, depth: int, buried: bool) -> Problem:
-    ts = [SApp("V", Var("f0")), SApp("V", Var("f1"))]
-    for _ in range(depth):
-        if rng.random() < 0.5:
-            binder = f"c{rng.randrange(3)}"
-            ts = [SApp("L", SAbs(binder, t)) for t in ts]
-        else:
-            leaf = rng.choice((SApp("Z", SUNIT), Var("y")))
-            left = rng.random() < 0.5
-            ts = [SApp("P", STuple((t, leaf) if left else (leaf, t)))
-                  for t in ts]
-    env = {v: NameSortT("nm") for v in ("a", "b", "f0", "f1", "c0", "c1", "c2")}
-    env.update(x=DataSortT("tm"), y=DataSortT("tm"))
-    cs = [Eq(SAbs("a", Var("x")), SAbs("b", t)) for t in ts]
-    if buried:
-        cs.append(Fresh("f0", Var("f1")))
-    return Problem(env, tuple(cs))
-
-
 class _OutOfTime(Exception):
     pass
 
@@ -153,40 +141,83 @@ def main() -> int:
     args = ap.parse_args()
 
     # Cases (signature, problem, .eu problem or None, planted verdict or None).
-    rng = random.Random(args.n if args.seed is None else args.seed)
+    seed = args.n if args.seed is None else args.seed
     if args.family == "eu":
+        rng = random.Random(seed)
         eps = [scaled_eu(rng, args.n) for _ in range(args.count or 20)]
-        cases = [(EU_SIGNATURE, translate_eu(ep), ep, None) for ep in eps]
-    elif args.family == "pigeonhole":
-        cases = [(NAME, pigeonhole(args.n), None, False)]
-    else:
+        return solve_all([(EU_SIGNATURE, translate_eu(ep), ep, None)
+                          for ep in eps], True)
+    if args.family == "pigeonhole":
+        return solve_all([(NAME, pigeonhole(args.n), None, False)], True)
+
+    def deep_family() -> int:
         sig = small_signature()
-        cases = [(sig, deep(rng, args.n, i % 2 == 1), None, i % 2 == 0)
-                 for i in range(args.count or 10)]
-        code = []
-        run_in_big_stack(lambda: code.append(solve_all(cases, False)))
-        return code[0]
-    return solve_all(cases, True)
+        return solve_all([
+            (sig, deep_problem("buried" if i % 2 else "sat", args.n,
+                               f"{seed}/{i}")[0], None, i % 2 == 0)
+            for i in range(args.count or 10)], False)
+
+    return run_in_big_stack(deep_family)
+
+
+def run_in_big_stack(fn):
+    """fn() in one worker thread with a 512 MiB stack and a raised
+    recursion limit; its exception, if any, is re-raised here."""
+    out = []
+
+    def body():
+        sys.setrecursionlimit(200_000)
+        try:
+            out.append(fn())
+        except BaseException as exc:
+            out.append(exc)
+
+    threading.stack_size(512 * 1024 * 1024)
+    worker = threading.Thread(target=body)
+    worker.start()
+    worker.join()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
+
+
+def timed_decide(sig, p: Problem):
+    """The result of the focused search (None over BUDGET), its seconds and
+    the seconds of those spent in `decider.extract_witness`."""
+    extract, spent = decider.extract_witness, [0.0]
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return extract(*args)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    decider.extract_witness = timed
+    t0 = time.perf_counter()
+    try:
+        r = decider.decide(sig, p, SolveOptions(budget=BUDGET))
+    except BudgetExhausted:
+        r = None
+    finally:
+        decider.extract_witness = extract
+    return r, time.perf_counter() - t0, spent[0]
 
 
 def solve_all(cases, ask_oracle: bool) -> int:
     """Solve and print every case; 1 when a verdict is wrong, else 0."""
     wrong = nodes = over = 0
-    seconds = 0.0
+    seconds = witness = 0.0
     for i, (sig, p, ep, planted) in enumerate(cases):
-        t0 = time.perf_counter()
-        try:
-            r = decide(sig, p, SolveOptions(budget=BUDGET))
-        except BudgetExhausted:
-            r = None
-        dt = time.perf_counter() - t0
+        r, dt, wt = timed_decide(sig, p)
         seconds += dt
+        witness += wt
         if r is None:
             over += 1
-            print(f"{i} budget - {dt:.3f}")
+            print(f"{i} budget - {dt:.3f} {wt:.3f}")
             continue
         nodes += r.nodes
-        line = f"{i} {'sat' if r.sat else 'unsat'} {r.nodes} {dt:.3f} "
+        line = f"{i} {VERDICT[r.sat]} {r.nodes} {dt:.3f} {wt:.3f} "
         if ask_oracle:
             expected = oracle(sig, p, ep)
             line += f"oracle={VERDICT[expected]}"
@@ -197,7 +228,8 @@ def solve_all(cases, ask_oracle: bool) -> int:
             wrong += 1
             line += " WRONG"
         print(line, flush=True)
-    print(f"total: {nodes} nodes in {seconds:.2f} s over "
+    print(f"total: {nodes} nodes in {seconds:.2f} s ({witness:.2f} s in "
+          f"extract_witness) over "
           f"{len(cases) - over} solves, {over} over budget, {wrong} wrong")
     return 1 if wrong else 0
 

@@ -335,6 +335,9 @@ def _read_eu(tokens: list[str]) -> eubridge.EUProblem:
                     raise _Malformed(f"expected {kind}", len(tokens))
                 if tok == "unit":  # the translation would read it as a term
                     raise _Malformed(f"unit cannot be {kind}", len(tokens))
+                if tok == "id" and section == "perm-vars":  # reads as identity
+                    raise _Malformed("id cannot be a permutation variable",
+                                     len(tokens))
                 symbols[section].append(tok)
                 continue
             if tok != "(":
@@ -363,7 +366,7 @@ def parse_eu(text: str) -> eubridge.EUProblem:
 # Commands
 
 def _load(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # skips a byte-order mark
         try:
             return fh.read()
         except UnicodeDecodeError:

@@ -113,9 +113,11 @@ class EUProblem:
 
 
 def validate_eu(p: EUProblem) -> None:
-    decl = list(p.names) + list(p.name_vars) + list(p.perm_vars)
-    if len(set(decl)) != len(decl):
-        raise ValidationError("duplicate symbol declarations")
+    declared: set[str] = set()
+    for sym in (*p.names, *p.name_vars, *p.perm_vars):
+        if sym in declared:
+            raise ValidationError(f"duplicate symbol declaration: {sym}")
+        declared.add(sym)
     verts = set(p.names) | set(p.name_vars)
     # Name-terms in prefix order, left to right: the last item is next.
     todo = [nt for c in reversed(p.constraints) for nt in (c.rhs, c.lhs)]

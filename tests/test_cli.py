@@ -229,6 +229,17 @@ def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, command,
     assert err == f"error: {bad}: not UTF-8 text\n"
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys):
+    for name, commands in (("swap-pair.np", ("check", "solve")),
+                           ("ex67.eu", ("check", "translate-eu"))):
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + (PROBLEMS / name).read_bytes())
+        for command in commands:
+            want = run(capsys, command, str(PROBLEMS / name))
+            assert run(capsys, command, str(marked)) == want
+            assert want[0] == 0 and want[2] == ""
+
+
 def test_syntax_error_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.np"
     bad.write_text("(signature (name-sort A)")
@@ -322,6 +333,30 @@ def test_translate_eu_output_reads_back(tmp_path, capsys):
                     "(constraints (eq unit u)))")
     code, _, err = run(capsys, "check", str(path))
     assert code == 2 and err == "error: 1:26: unit cannot be a variable\n"
+
+
+def test_id_cannot_be_a_permutation_variable(tmp_path, capsys):
+    # In a permutation position `id` reads as the identity, so a variable of
+    # that name would be read as the identity wherever it is applied.
+    path = tmp_path / "id.eu"
+    path.write_text("(eu (names a b) (name-vars) (perm-vars id)\n"
+                    "    (constraints (eq (app id a) b)))")
+    for command in ("check", "translate-eu"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == "error: 1:40: id cannot be a permutation variable\n"
+    # It is an ordinary symbol elsewhere.
+    path.write_text("(eu (names id) (name-vars A) (perm-vars Q)\n"
+                    "    (constraints (eq (app Q A) id)))")
+    assert run(capsys, "check", str(path)) == (0, "ok\n", "")
+
+
+def test_duplicate_eu_symbol_is_named(tmp_path, capsys):
+    path = tmp_path / "dup.eu"
+    path.write_text("(eu (names a) (name-vars B a) (perm-vars) (constraints))")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: duplicate symbol declaration: a\n"
 
 
 def test_budget_exhaustion_exit_code(tmp_path, capsys):

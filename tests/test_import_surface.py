@@ -1,8 +1,10 @@
-"""The names the benchmark imports from npnas, and npnas.__all__, resolve.
+"""The names the benchmark and the scripts import from npnas, and
+npnas.__all__, resolve.
 
 The benchmark under perfbench/ is kept unchanged while the package
 changes, so a name it imports that moves or goes fails here, not only
-in a benchmark run.  This module only reads perfbench/.
+in a benchmark run.  The scripts under scripts/ are checked the same way.
+This module only reads those files.
 """
 import ast
 import importlib
@@ -12,7 +14,7 @@ import pytest
 
 import npnas
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _resolves(module: str, name: str) -> bool:
@@ -25,8 +27,8 @@ def _resolves(module: str, name: str) -> bool:
     return True
 
 
-def _npnas_imports():
-    for path in sorted(PERFBENCH.glob("*.py")):
+def _npnas_imports(directory: str):
+    for path in sorted((ROOT / directory).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ImportFrom) and node.level == 0 and (
                     node.module.split(".")[0] == "npnas"):
@@ -38,9 +40,9 @@ def _npnas_imports():
                         yield path.name, alias.name, None
 
 
-def test_benchmark_imports_resolve():
-    imports = list(_npnas_imports())
-    assert imports, "no npnas import found under perfbench/"
+def _unresolved(directory: str) -> list[str]:
+    imports = list(_npnas_imports(directory))
+    assert imports, f"no npnas import found under {directory}/"
     missing = []
     for file, module, name in imports:
         if name is None:
@@ -50,7 +52,15 @@ def test_benchmark_imports_resolve():
                 missing.append(f"{file}: import {module}")
         elif not _resolves(module, name):
             missing.append(f"{file}: from {module} import {name}")
-    assert not missing, missing
+    return missing
+
+
+def test_benchmark_imports_resolve():
+    assert not (missing := _unresolved("perfbench")), missing
+
+
+def test_script_imports_resolve():
+    assert not (missing := _unresolved("scripts")), missing
 
 
 @pytest.mark.parametrize("name", npnas.__all__)

@@ -548,11 +548,15 @@ def _agrees_with_reference(text):
                      (ref_parse_eu, parse_eu)):
         want, got = _outcome(ref, text), _outcome(new, text)
         if not isinstance(want, NpnasError):
-            # Only the .eu reader's rule against declaring unit is new.
+            # Only the .eu reader's rules against declaring unit, and id as
+            # a permutation variable, are new.
             if (isinstance(got, SourceSyntaxError)
                     and "unit cannot be" in str(got)):
                 assert "unit" in (*want.names, *want.name_vars,
                                   *want.perm_vars)
+            elif (isinstance(got, SourceSyntaxError)
+                    and "id cannot be" in str(got)):
+                assert "id" in want.perm_vars
             else:
                 assert got == want
         elif isinstance(want, SourceSyntaxError) and _EXACT.match(
@@ -602,6 +606,8 @@ def _shapes():
                   "()")
     texts += [eu.format(f"(eq A {nt})") for nt in name_terms]
     texts += [eu.format(c) for c in constraints]
+    texts.append("(eu (names a b) (name-vars) (perm-vars id)"
+                 " (constraints (eq (app id a) b)))")
     return texts
 
 

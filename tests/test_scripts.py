@@ -1,0 +1,37 @@
+"""The scripts under scripts/ run end to end on small inputs.
+
+They read the benchmark's generators from perfbench/workloads.py
+(`np_stream`, `eu_stream`, `np_deep` and `deep_problem`), so a name that
+moves or goes there fails here, not only when a script is next run.
+"""
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _script(*argv: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("argv", [("pigeonhole", "3"),
+                                  ("eu", "3", "--count", "2"),
+                                  ("deep", "6", "--count", "2")],
+                         ids=lambda argv: argv[0])
+def test_search_families_runs(argv):
+    out = _script("scripts/search_families.py", *argv)
+    assert out.splitlines()[-1].endswith(" 0 wrong")
+
+
+def test_paired_runs_on_the_deep_family():
+    out = _script("scripts/paired.py", ".", ".", "--family", "deep",
+                  "--pairs", "1")
+    assert "verdicts and nodes agree" in out
