@@ -31,11 +31,12 @@ solver's walks recurse once or more per level, so this family runs in one
 worker thread with a 512 MiB stack and a raised recursion limit.
 
 Each eu and pigeonhole line shows the oracle's verdict: `eu_brute_sat` for
-eu, and for pigeonhole `brute_sat` with one pool name per variable, which
-makes it exact; `-` when its pool is over its guard or it runs past
-ORACLE_SECONDS.  Each deep line shows the planted verdict instead.  The
-columns are the instance, the verdict, the nodes, the seconds of `decide`
-and the seconds of those spent in `decider.extract_witness`.
+eu, and for pigeonhole `relation_sat`, a search over the paper's own
+relation without the decider's shortcuts; `-` when its pool or node budget
+is too small or it runs past ORACLE_SECONDS.  Each deep line shows the
+planted verdict instead.  The columns are the instance, the verdict, the
+nodes, the seconds of `decide` and the seconds of those spent in
+`decider.extract_witness`.
 
 A solve that expands more than BUDGET nodes prints `budget` and is left
 out of the node total.  The exit code is 1 when a verdict disagrees with
@@ -51,12 +52,12 @@ import time
 
 from npnas import decider
 from npnas.decider import SolveOptions
-from npnas.errors import BudgetExhausted, PoolTooLarge, SearchSpaceTooLarge
+from npnas.errors import BudgetExhausted, PoolTooLarge
 from npnas.eubridge import (
     EU_SIGNATURE, EUEq, EUFresh, EUProblem, PSwap, PVar, Susp, Vertex,
     eu_brute_sat, translate_eu)
 from npnas.kernel import NameSortT, make_signature
-from npnas.oracle import brute_sat, small_signature
+from npnas.oracle import relation_sat, small_signature
 from npnas.schematic import Eq, Fresh, Problem, SAbs, Var
 
 sys.path.append(os.path.join(os.path.dirname(os.path.dirname(
@@ -111,19 +112,17 @@ class _OutOfTime(Exception):
 
 
 def oracle(sig, p: Problem, ep: EUProblem | None):
-    """The verdict of `eu_brute_sat` on ep, or else of an exact `brute_sat`
-    on p; None when it needs too large a pool or more than ORACLE_SECONDS."""
+    """The verdict of `eu_brute_sat` on ep, or else of `relation_sat` on p;
+    None when it needs too large a pool or budget, or more than
+    ORACLE_SECONDS."""
     def stop(signum, frame):
         raise _OutOfTime
 
     old = signal.signal(signal.SIGALRM, stop)
     signal.setitimer(signal.ITIMER_REAL, ORACLE_SECONDS)
     try:
-        if ep is not None:
-            return eu_brute_sat(ep)
-        res = brute_sat(sig, p, pool=len(p.env))
-        return res.sat if res.exact or res.sat else None
-    except (_OutOfTime, PoolTooLarge, SearchSpaceTooLarge):
+        return eu_brute_sat(ep) if ep is not None else relation_sat(sig, p)
+    except (_OutOfTime, PoolTooLarge):
         return None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Solve a fixed, seeded set of problems under both strategies and print
-one line per solve: verdict, reason, nodes, normal forms and witness.
+"""Solve a fixed, seeded set of problems and print one line per solve:
+verdict, reason, nodes, normal forms and witness.
 
 Every witness is re-checked against its problem, and every verdict is
-compared with a brute-force oracle where one is cheap and exact: `brute_sat`
-for the `np` family, where its answer is exact or sat, and `eu_brute_sat`
-for the `eu` family.  Run it at two commits and diff the outputs to see
+compared with an oracle where one is cheap and exact: `brute_sat` for the
+`np` family, where its answer is exact or sat, `relation_sat` (a search
+over the paper's own relation, without the decider's shortcuts) for the
+`np65` family, where it decides within its budget, and `eu_brute_sat` for
+the `eu` family.  Run it at two commits and diff the outputs to see
 whether a change to the solver keeps its verdicts, its node counts and its
 witnesses:
 
     PYTHONPATH=src python scripts/sweep.py > after.txt
 
-The node totals per family and strategy (over the solves within budget) and
+The node totals per family (over the solves within budget) and
 the counts of bad witnesses and oracle disagreements go to stderr, and the
 exit code is 1 when either count is not zero.
 
@@ -45,11 +47,11 @@ from npnas.oracle import (
     random_eu_problem,
     random_problem,
     random_term,
+    relation_sat,
 )
 from npnas.schematic import Eq, Fresh, Problem, satisfies_all
 
 BUDGET = 5000
-STRATEGIES = ("focused", "full")
 
 # Two name sorts and three data sorts, so witnesses need inhabitants built
 # through several sorts.  U, S and T become inhabited in rounds 1, 2 and 3,
@@ -100,10 +102,9 @@ def families():
         yield "np", i, sig, p, res.sat if res.exact or res.sat else None
     rng = random.Random(7)
     for i in range(1200):
-        # No oracle: brute_sat takes about a minute over this family.
-        yield ("np65", i,
-               *parse_problem(format_problem(*random_problem(rng, 6, 5))),
-               None)
+        # brute_sat would take about a minute over this family.
+        sig, p = parse_problem(format_problem(*random_problem(rng, 6, 5)))
+        yield "np65", i, sig, p, relation_sat(sig, p)
     rng = random.Random(7)
     for i in range(600):
         ep = random_eu_problem(rng)
@@ -120,30 +121,28 @@ def main() -> int:
     bad = disagreements = 0
     nodes: Counter = Counter()
     for family, i, sig, p, expected in families():
-        for strategy in STRATEGIES:
-            head = f"{family} {i} {strategy}"
-            try:
-                r = decide(sig, p, SolveOptions(strategy=strategy,
-                                                budget=BUDGET))
-            except BudgetExhausted:
-                print(f"{head} budget")
-                continue
-            nodes[family, strategy] += r.nodes
-            line = (f"{head} {'sat' if r.sat else 'unsat'} {r.reason} "
-                    f"nodes={r.nodes} nf={r.normal_forms}")
-            if r.sat:
-                line += " " + " ".join(
-                    f"{x}={realize(r.witness[x])}" for x in sorted(p.env))
-                if not satisfies_all(r.witness, p):
-                    bad += 1
-                    line += " BAD-WITNESS"
-            if expected is not None and r.sat != expected:
-                disagreements += 1
-                print(f"{head}: the oracle says "
-                      f"{'sat' if expected else 'unsat'}", file=sys.stderr)
-            print(line)
-    for (family, strategy), total in nodes.items():
-        print(f"nodes {family} {strategy}: {total}", file=sys.stderr)
+        head = f"{family} {i}"
+        try:
+            r = decide(sig, p, SolveOptions(budget=BUDGET))
+        except BudgetExhausted:
+            print(f"{head} budget")
+            continue
+        nodes[family] += r.nodes
+        line = (f"{head} {'sat' if r.sat else 'unsat'} {r.reason} "
+                f"nodes={r.nodes} nf={r.normal_forms}")
+        if r.sat:
+            line += " " + " ".join(
+                f"{x}={realize(r.witness[x])}" for x in sorted(p.env))
+            if not satisfies_all(r.witness, p):
+                bad += 1
+                line += " BAD-WITNESS"
+        if expected is not None and r.sat != expected:
+            disagreements += 1
+            print(f"{head}: the oracle says "
+                  f"{'sat' if expected else 'unsat'}", file=sys.stderr)
+        print(line)
+    for family, total in nodes.items():
+        print(f"nodes {family}: {total}", file=sys.stderr)
     print(f"bad witnesses: {bad}", file=sys.stderr)
     print(f"oracle disagreements: {disagreements}", file=sys.stderr)
     return 1 if bad or disagreements else 0

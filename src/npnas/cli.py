@@ -373,6 +373,13 @@ def _load(path: str) -> str:
             raise ValidationError(f"{path}: not UTF-8 text") from None
 
 
+def _load_np(path: str) -> tuple[Signature, Problem]:
+    if path.endswith(".eu"):
+        raise ValidationError(
+            f"{path}: .eu files go through translate-eu or eu-oracle")
+    return parse_problem(_load(path))
+
+
 def cmd_check(args) -> int:
     text = _load(args.file)
     if args.file.endswith(".eu"):
@@ -385,9 +392,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    sig, p = parse_problem(_load(args.file))
-    options = SolveOptions(strategy=args.strategy, budget=args.budget)
-    result = decide(sig, p, options)
+    sig, p = _load_np(args.file)
+    result = decide(sig, p, SolveOptions(budget=args.budget))
     print(f"result: {'sat' if result.sat else 'unsat'}")
     if result.reason:
         print(f"reason: {result.reason}")
@@ -399,7 +405,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_fo(args) -> int:
-    sig, p = parse_problem(_load(args.file))
+    sig, p = _load_np(args.file)
     check_problem(sig, p)
     flsig, flp = fl_problem(sig, p)
     sys.stdout.write(format_problem(flsig, flp))
@@ -409,7 +415,7 @@ def cmd_fo(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    sig, p = parse_problem(_load(args.file))
+    sig, p = _load_np(args.file)
     check_problem(sig, p)
     result = brute_sat(sig, p, max_size=args.size, pool=args.pool)
     print(f"result: {'sat' if result.sat else 'unsat'}")
@@ -465,8 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
     s.add_argument("--no-witness", action="store_true",
                    help="suppress the satisfying valuation")
-    s.add_argument("--strategy", choices=["focused", "full"],
-                   default="focused")
     s.add_argument("--budget", type=_count, default=None)
     s.set_defaults(run=cmd_solve)
 

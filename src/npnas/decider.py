@@ -7,42 +7,38 @@ the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
 
 The search departs from the paper's relation (`rewrite.expand`,
-`successors`) in seven ways.  The two shortcuts are sound because every
-rule's branch set preserves satisfiability: one reducible constraint's
-branches are a complete choice, and the search terminates under any
-selection once the collapse succeeds.
+`successors`) in six ways.  Committed orientation and single-branch first
+rest on the paper's result that every rule's branch set preserves
+satisfiability: one reducible constraint's branches are a complete choice,
+and the search terminates under any selection once the collapse succeeds.
+The search keeps no memo of states seen: termination and completeness rest
+on the relation being strongly normalising and finitely branching, not on
+skipping a state reached twice.
 
 - Committed orientation: of the two branches of `eq x y` (substitute x:=y or
   y:=x in the rest, keeping the equation), only the first is explored.  Each
   is equisatisfiable with the parent on its own, since it substitutes along
   an equation that stays in the problem.
-- Single-branch first: under the focused strategy the first reducible
-  constraint whose rule has one branch is expanded before any that branches,
-  as unit propagation comes before branching in DPLL.  Only a name compared
-  with a binder prefix branches: freshness under binders, or an equation of
-  two prefixed variables.
-- No memo under focused: only the full strategy, which interleaves the
-  rules of independent constraints, reaches one state by several paths and
-  skips states already seen.  The focused search's old memo hits all came
-  from the two orientations of `eq x y` meeting again.  Termination and
-  completeness never rely on the memo, as the relation is strongly
-  normalising and finitely branching.
+- Single-branch first: the first reducible constraint whose rule has one
+  branch is expanded before any that branches, as unit propagation comes
+  before branching in DPLL.  Only a name compared with a binder prefix
+  branches: freshness under binders, or an equation of two prefixed
+  variables.
 - A store of solved equations: every solved `eq x t` (x isolated) leaves
   the state as a pair (x, t).  x occurs nowhere else, rules substitute only
   variables that occur in the rest, and narrowing adds only fresh names, so
-  x never returns: the state is equisatisfiable with what remains, and a
-  memo key may ignore the store.  Each t mentions only variables still
-  present or stored later, so the witness fills the store in reverse order.
-  This is the triangular form of a unifier (Martelli and Montanari, TOPLAS
-  1982).
-- Least commitment and backjumping under focused: a branching node's
-  successors are tried last first, so the branch that keeps the name apart
-  from every binder goes first and the binder equalities follow in the
-  reverse of `expand`'s order.  Every constraint carries a tag, the set of
-  branching levels its derivation used: input constraints have none, the
-  block that replaces constraint i takes i's tag plus the node's own level
-  when the node branches, and a constraint that i's substitution rewrites
-  adds i's tag to its own.  A dead end's conflict is the smallest tag among
+  x never returns: the state is equisatisfiable with what remains.  Each t
+  mentions only variables still present or stored later, so the witness
+  fills the store in reverse order.  This is the triangular form of a
+  unifier (Martelli and Montanari, TOPLAS 1982).
+- Least commitment and backjumping: a branching node's successors are
+  tried last first, so the branch that keeps the name apart from every
+  binder goes first and the binder equalities follow in the reverse of
+  `expand`'s order.  Every constraint carries a tag, the set of branching
+  levels its derivation used: input constraints have none, the block that
+  replaces constraint i takes i's tag plus the node's own level when the
+  node branches, and a constraint that i's substitution rewrites adds i's
+  tag to its own.  A dead end's conflict is the smallest tag among
   its clash constraints.  The search jumps back to the highest level in it
   and skips the untried siblings of every deeper level; a node whose
   branches all failed fails with the union of their conflicts minus its
@@ -53,13 +49,13 @@ selection once the collapse succeeds.
   every sibling below the highest level in S keeps those choices, so it
   fails too.  Backjumping only prunes the chronological search in this
   order, so it never expands more nodes than that search.
-- No repeated solved freshness under focused: of several copies of a
-  solved `fresh x y` only the first stays in the state, with its tag.  A
-  conjunction holds with or without a repeat, a repeat labels nothing else
-  differently, and either copy's tag justifies the one kept.  Without this,
-  the branch tried first leaves each swap gadget of a chain two `fresh`
-  constraints that every later `eq x y` rewrites into copies of the same
-  ones, and every pending sibling keeps its own.
+- No repeated solved freshness: of several copies of a solved `fresh x y`
+  only the first stays in the state, with its tag.  A conjunction holds
+  with or without a repeat, a repeat labels nothing else differently, and
+  either copy's tag justifies the one kept.  Without this, the branch
+  tried first leaves each swap gadget of a chain two `fresh` constraints
+  that every later `eq x y` rewrites into copies of the same ones, and
+  every pending sibling keeps its own.
 - Narrowing and decomposition to the leaves: a reducible `<xs>x = <ys>t`
   with xs non-empty maps x to t's whole constructor skeleton in one step,
   with its own fresh variable for each variable and each binder of t.  The
@@ -83,10 +79,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, NotSolved, ValidationError
+from .errors import BudgetExhausted, NotSolved
 from .foreduce import fo_sat
-from .kernel import (AlphaTree, Name, NameSortT, Signature, Type, inhabitant,
-                     memo_on_object)
+from .kernel import AlphaTree, Name, NameSortT, Signature, Type, inhabitant
 from .rewrite import (
     SOLVED_ASSIGN,
     SOLVED_FORMS,
@@ -125,7 +120,6 @@ from .schematic import (
 
 @dataclass(frozen=True)
 class SolveOptions:
-    strategy: str = "focused"     # "focused" or "full"
     budget: int | None = None     # max problems expanded
 
 
@@ -137,52 +131,6 @@ class SolveResult:
     nodes: int = 0                # problems whose successors were computed
     normal_forms: int = 0         # terminal problems encountered; the
                                   # siblings backjumping skips are not
-
-
-@memo_on_object
-def _tokens(c: Constraint) -> tuple:
-    """c's tokens in prefix order: a tag per node followed by its name or,
-    for a tuple, its arity.  Each tag fixes how many tokens follow it, so
-    distinct constraints never share a token sequence."""
-    if isinstance(c, Eq):
-        out: list = ["eq"]
-        stack = [c.rhs, c.lhs]
-    else:
-        out = ["fresh", c.var]
-        stack = [c.target]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            out += ("var", t.name)
-        elif isinstance(t, SApp):
-            out += ("con", t.con)
-            stack.append(t.arg)
-        elif isinstance(t, STuple):
-            out += ("tuple", len(t.items))
-            stack.extend(reversed(t.items))
-        elif isinstance(t, SUnit):
-            out.append("unit")
-        else:
-            out += ("abs", t.binder)
-            stack.append(t.body)
-    return tuple(out)
-
-
-def _canonical_key(p: Problem, base: Env | None = None) -> tuple:
-    """Key problems by their multiset of constraints, compared structurally,
-    and the types of their variables, so that the full strategy explores
-    converging branches once.  Paths that narrow in different orders may
-    give one fresh name different types, and the pattern equations that
-    fix those types are in the store, which the key leaves out.
-
-    `base` is the input's environment.  Its variables keep their types for
-    the whole search, so given `base` the types part lists only the
-    variables narrowing added, and is empty while p.env has not grown."""
-    cs = tuple(sorted(map(_tokens, p.constraints)))
-    if base is not None and len(p.env) <= len(base):
-        return cs, frozenset()
-    xs = problem_vars(p).difference(base or ())
-    return cs, frozenset(zip(xs, map(p.env.__getitem__, xs)))
 
 
 def _branching(env: Env, c: Constraint) -> bool:
@@ -382,8 +330,6 @@ def _backjump(stack: list, conflicts: list[int], conflict: int) -> None:
 
 def decide(sig: Signature, p: Problem,
            options: SolveOptions = SolveOptions()) -> SolveResult:
-    if options.strategy not in ("focused", "full"):
-        raise ValidationError(f"unknown strategy: {options.strategy!r}")
     check_problem(sig, p)
     if not fo_sat(sig, p):
         return SolveResult(sat=False, reason="fo-reduction")
@@ -392,19 +338,10 @@ def decide(sig: Signature, p: Problem,
 
 def _search(sig: Signature, p: Problem,
             options: SolveOptions) -> SolveResult:
-    seen: set = set()
-    full = options.strategy == "full"
-
-    def seen_before(q: Problem) -> bool:
-        k = _canonical_key(q, p.env)
-        found = k in seen
-        seen.add(k)
-        return found
-
-    # Entries (problem, store, tags, level): under focused, tags holds each
-    # constraint's mask of the branching levels it rests on (None until the
-    # path's first branching node), and level counts the path's branching
-    # nodes.  conflicts[l] joins the conflicts of level l's failed branches.
+    # Entries (problem, store, tags, level): tags holds each constraint's
+    # mask of the branching levels it rests on (None until the path's first
+    # branching node), and level counts the path's branching nodes.
+    # conflicts[l] joins the conflicts of level l's failed branches.
     stack: list[tuple] = [(p, (), None, 0)]
     conflicts: list[int] = []
     nodes = 0
@@ -415,18 +352,11 @@ def _search(sig: Signature, p: Problem,
             # A clash constraint never goes away, so no descendant of q is
             # solved; count each encounter with such a branch as a dead end.
             dead_ends += 1
-            if not full:
-                _backjump(stack, conflicts, 0 if tags is None else min(
-                    t for c, t in zip(q.constraints, tags) if clash_kind(c)))
-            continue
-        # Under full, skip a seen state before its statuses, and once shelved.
-        if full and seen_before(q):
+            _backjump(stack, conflicts, 0 if tags is None else min(
+                t for c, t in zip(q.constraints, tags) if clash_kind(c)))
             continue
         q, moved, st, tags = _shelve(q, tags)
-        if moved and full and seen_before(q):
-            continue
-        if not full:
-            q, st, tags = _drop_repeats(q, st, tags)
+        q, st, tags = _drop_repeats(q, st, tags)
         store += moved
         idx = [i for i, s in enumerate(st) if s is None]
         if not idx:
@@ -439,10 +369,6 @@ def _search(sig: Signature, p: Problem,
         nodes += 1
         if options.budget is not None and nodes > options.budget:
             raise BudgetExhausted(f"expanded more than {options.budget} problems")
-        if full:
-            kids = tuple(r for i in idx for r in _branches(sig, q, i))
-            stack.extend((kid, store, None, 0) for kid in reversed(kids))
-            continue
         i = next((i for i in idx if not _branching(q.env, q.constraints[i])),
                  idx[0])
         kids = _branches(sig, q, i)

@@ -26,8 +26,8 @@ derived = partial(field, init=False, repr=False, compare=False)
 def memo_on_object(fn):
     """Memoise a one-argument function on immutable values by storing the
     result in the argument's own __dict__, so it lives and dies with the
-    object.  It holds the rule-level facts (`rewrite._split_eq`,
-    `clash_kind` and `shared_vars`) and the memo-key `decider._tokens`."""
+    object.  It holds the rule-level facts `rewrite._split_eq`,
+    `clash_kind` and `shared_vars`."""
     key = f"_memo_{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)

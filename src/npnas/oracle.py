@@ -1,11 +1,14 @@
-"""Brute-force reference semantics and random problem generators.
+"""Reference semantics and random problem generators.
 
-The oracle enumerates candidate alpha-trees for every variable up to a
+The brute-force oracle enumerates candidate alpha-trees for every variable up to a
 size bound, with free names drawn from a fixed pool, and tests every
 valuation.  A positive answer is always trustworthy.  A negative answer is
 only a proof of unsatisfiability when the bounds are known to cover the
 whole search space, which the oracle certifies for problems whose
 variable types are finite (no recursive data sorts involved).
+
+`relation_sat` decides by the paper's own rewrite relation instead, with
+none of the decider's search shortcuts, as a cross-check on them.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import SearchSpaceTooLarge
+from .foreduce import fo_sat
 from .kernel import (
     AAbs,
     AApp,
@@ -46,6 +50,7 @@ from .schematic import (
     atree_size,
     satisfies_all,
 )
+from .rewrite import has_clash, statuses, successors
 from . import eubridge
 
 # ---------------------------------------------------------------------------
@@ -200,6 +205,29 @@ def brute_sat(sig: Signature, p: Problem, max_size: int = 5, pool: int = 3,
              and max_size >= max((b[0] for b in bounds), default=0)
              and pool >= sum(b[1] for b in bounds))
     return OracleResult(sat=False, exact=exact, checked=checked)
+
+
+def relation_sat(sig: Signature, p: Problem,
+                 budget: int = 20_000) -> bool | None:
+    """Whether p is satisfiable, by a depth-first search over
+    `rewrite.successors`, in their order, once the first-order collapse
+    succeeds: a state with a clash is a dead end, and one whose constraints
+    are all solved answers sat.  None when more than `budget` states need
+    successors."""
+    if not fo_sat(sig, p):
+        return False
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if has_clash(q):
+            continue
+        if None not in statuses(q):
+            return True
+        budget -= 1
+        if budget < 0:
+            return None
+        stack.extend(reversed(successors(sig, q)))
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,22 @@ def test_eu_oracle_command(capsys):
     assert "result: unsat" in out
 
 
+@pytest.mark.parametrize("command", ["solve", "fo", "oracle"])
+def test_eu_file_is_pointed_to_the_eu_commands(capsys, command):
+    path = str(PROBLEMS / "ex67.eu")
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err == (f"error: {path}: .eu files go through translate-eu "
+                   "or eu-oracle\n")
+
+
+def test_solve_has_no_strategy_option(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["solve", "--strategy", "full", str(PROBLEMS / "swap-pair.np")])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --strategy" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "solve", "no-such-file.np")
     assert code == 2

@@ -9,12 +9,13 @@ import pytest
 
 from npnas import decider, foreduce, kernel, oracle, rewrite, schematic
 from npnas.cli import parse_eu
-from npnas.decider import SolveOptions, _canonical_key, decide, extract_witness
+from npnas.decider import SolveOptions, decide, extract_witness
 from npnas.errors import (
-    BudgetExhausted, IllFormedProblem, NotSolved, ValidationError)
+    BudgetExhausted, IllFormedProblem, NotSolved)
 from npnas.eubridge import EU_SIGNATURE, translate_eu
 from npnas.kernel import UNIT_T, AlphaTree, DataSortT, Name, NameSortT, make_signature
-from npnas.oracle import brute_sat, random_eu_problem, random_problem
+from npnas.oracle import (
+    brute_sat, random_eu_problem, random_problem, relation_sat)
 from npnas.rewrite import (
     SOLVED_ASSIGN, expand, statuses, successors)
 from npnas.schematic import (
@@ -54,14 +55,6 @@ def test_ill_formed_problem_rejected(sig):
         decide(sig, Problem({"a": NM}, (Eq(Var("a"), Var("zz")),)))
 
 
-def test_unknown_strategy_rejected(sig):
-    # A misspelt strategy once ran the full search without its memo.
-    p = Problem({"a": NM, "b": NM}, (Fresh("a", Var("b")),))
-    for strategy in ("focussed", "Full", ""):
-        with pytest.raises(ValidationError):
-            decide(sig, p, SolveOptions(strategy=strategy))
-
-
 def test_budget_exhaustion(sig):
     p = Problem({"a": NM, "b": NM, "x": TM, "y": TM},
                 (Eq(SAbs("a", Var("x")), SAbs("b", Var("y"))),
@@ -72,14 +65,11 @@ def test_budget_exhaustion(sig):
 
 
 def test_strategies_agree(sig):
+    # The decider's search and a plain search of the paper's relation.
     rng = random.Random(41)
     for _ in range(60):
         _, p = random_problem(rng)
-        verdicts = {
-            decide(sig, p, SolveOptions(strategy=s)).sat
-            for s in ("focused", "full")
-        }
-        assert len(verdicts) == 1, p
+        assert decide(sig, p).sat == relation_sat(sig, p), p
 
 
 def test_witnesses_always_satisfy(sig):
@@ -286,26 +276,6 @@ def test_a_swap_chain_keeps_no_repeated_freshness(monkeypatch):
     assert max(len(q.constraints) for q in expanded) <= len(p.constraints) + 3
 
 
-def test_memo_key_is_structural():
-    # Both render as "(eq a b c)"; the key must still tell them apart.
-    env = {"a b": TM, "c": TM, "a": TM, "b c": TM}
-    p = Problem(env, (Eq(Var("a b"), Var("c")),))
-    q = Problem(env, (Eq(Var("a"), Var("b c")),))
-    assert str(p) == str(q)
-    assert _canonical_key(p) != _canonical_key(q)
-    env = {"a": NM, "b": NM, "x": TM, "y": TM}
-    swapped = Problem(env, (Fresh("a", Var("b")), Eq(Var("x"), Var("y"))))
-    assert _canonical_key(swapped) == _canonical_key(
-        Problem(env, swapped.constraints[::-1]))
-
-
-def test_memo_key_tells_types_apart():
-    # One constraint under two typings of its variables is two problems.
-    c = Fresh("a", Var("x"))
-    assert _canonical_key(Problem({"a": NM, "x": TM}, (c,))) != _canonical_key(
-        Problem({"a": NM, "x": NM}, (c,)))
-
-
 # ---------------------------------------------------------------------------
 # Search shortcuts
 
@@ -392,62 +362,6 @@ def test_ex67_focused_search_is_small():
     assert not r.sat and r.nodes <= 20
 
 
-def test_focused_search_keys_no_state(monkeypatch):
-    # The focused search is a tree: it never computes a memo key.  The full
-    # strategy reaches states by several paths and still keys each one.
-    key = decider._canonical_key
-
-    def no_key(*args):
-        raise AssertionError("the focused search computed a memo key")
-
-    monkeypatch.setattr(decider, "_canonical_key", no_key)
-    rng = random.Random(46)
-    nodes = 0
-    for _ in range(200):
-        sig, p = random_problem(rng, 6, 5)
-        nodes += decide(sig, p).nodes
-    rng = random.Random(47)
-    for _ in range(100):
-        p = translate_eu(random_eu_problem(rng))
-        nodes += decide(EU_SIGNATURE, p).nodes
-    nodes += decide(EU_SIGNATURE, _ex67()).nodes
-    assert nodes > 500
-
-    keyed = []
-    monkeypatch.setattr(decider, "_canonical_key",
-                        lambda q, *args: keyed.append(q) or key(q, *args))
-    with pytest.raises(BudgetExhausted):
-        decide(EU_SIGNATURE, _ex67(),
-               SolveOptions(strategy="full", budget=100))
-    assert len(keyed) > 100
-
-
-def test_full_memo_key_types_only_what_narrowing_added(sig, monkeypatch):
-    # The input's variables keep their types, so the full search's key lists
-    # types only once narrowing has added a name: never for a translated EU
-    # problem, which does not narrow.
-    key = decider._canonical_key
-    typed = []
-
-    def record(q, *args):
-        k = key(q, *args)
-        typed.append(bool(k[1]))
-        return k
-
-    monkeypatch.setattr(decider, "_canonical_key", record)
-    with pytest.raises(BudgetExhausted):
-        decide(EU_SIGNATURE, _ex67(), SolveOptions(strategy="full", budget=100))
-    assert len(typed) > 100 and not any(typed)
-
-    typed.clear()
-    p = Problem({"a": NM, "b": NM, "x": TM},
-                (Eq(SAbs("a", Var("x")),
-                    SAbs("b", SApp("L", SAbs("a", SApp("V", Var("b")))))),))
-    r = decide(sig, p, SolveOptions(strategy="full"))
-    assert r.sat and satisfies_all(r.witness, p)
-    assert any(typed)
-
-
 # ---------------------------------------------------------------------------
 # Backjumping
 
@@ -496,16 +410,18 @@ def test_backjumping_prunes_the_chronological_search():
 
 
 def test_focused_and_full_verdicts_agree():
+    # The focused search against the paper's full relation, searched by
+    # relation_sat without any of the shortcuts: not the committed
+    # orientation, the order, the backjumping, the store, the dropped
+    # repeats or the one step to the leaves.
     decided = 0
     for sig, p in _instances():
-        focused = decide(sig, p)
-        try:
-            full = decide(sig, p, SolveOptions(strategy="full", budget=2000))
-        except BudgetExhausted:
+        expected = relation_sat(sig, p)
+        if expected is None:
             continue
-        assert focused.sat == full.sat, p
+        assert decide(sig, p).sat == expected, p
         decided += 1
-    assert decided > 400
+    assert decided >= 440
 
 
 def test_a_refuted_branching_node_skips_the_siblings_above_it(sig):
@@ -608,15 +524,29 @@ def _single_steps(sig, q, i):
 
 
 def _scan(c):
-    """c's tokens, each with whether it is a variable."""
-    toks = decider._tokens(c)
-    k = 0
-    while k < len(toks):
-        tag = toks[k]
-        yield tag, False
-        if tag not in ("eq", "unit"):
-            yield toks[k + 1], tag in ("var", "abs", "fresh")
-        k += 1 if tag in ("eq", "unit") else 2
+    """c's tokens in prefix order, each with whether it is a variable: a
+    tag per node, followed by its variable, constructor or arity."""
+    if isinstance(c, Eq):
+        yield "eq", False
+        stack = [c.rhs, c.lhs]
+    else:
+        yield from (("fresh", False), (c.var, True))
+        stack = [c.target]
+    while stack:  # no recursion: the terms may be thousands of levels deep
+        t = stack.pop()
+        if isinstance(t, Var):
+            yield from (("var", False), (t.name, True))
+        elif isinstance(t, SApp):
+            yield from (("con", False), (t.con, False))
+            stack.append(t.arg)
+        elif isinstance(t, STuple):
+            yield from (("tuple", False), (len(t.items), False))
+            stack.extend(reversed(t.items))
+        elif isinstance(t, SAbs):
+            yield from (("abs", False), (t.binder, True))
+            stack.append(t.body)
+        else:
+            yield "unit", False
 
 
 def _renamed(q, old):

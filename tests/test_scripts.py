@@ -22,13 +22,16 @@ def _script(*argv: str) -> str:
     return done.stdout
 
 
-@pytest.mark.parametrize("argv", [("pigeonhole", "3"),
-                                  ("eu", "3", "--count", "2"),
-                                  ("deep", "6", "--count", "2")],
-                         ids=lambda argv: argv[0])
-def test_search_families_runs(argv):
-    out = _script("scripts/search_families.py", *argv)
-    assert out.splitlines()[-1].endswith(" 0 wrong")
+@pytest.mark.parametrize("argv, checked", [
+    pytest.param(("pigeonhole", "3"), "oracle=unsat", id="pigeonhole"),
+    pytest.param(("eu", "3", "--count", "2"), "oracle=", id="eu"),
+    pytest.param(("deep", "6", "--count", "2"), "planted=", id="deep")])
+def test_search_families_runs(argv, checked):
+    *lines, total = _script("scripts/search_families.py", *argv).splitlines()
+    assert total.endswith(" 0 wrong")
+    # Every verdict is checked: an oracle that gave up would print "-".
+    assert lines and all(line.split()[-1].startswith(checked)
+                         and not line.endswith("=-") for line in lines)
 
 
 def test_paired_runs_on_the_deep_family():
