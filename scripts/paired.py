@@ -16,10 +16,16 @@ file, and its time is the sum of the per-file times.  After one warm-up round ea
 both sides alike; pair k is the k-th timed round of each side.
 
 It prints each side's median round time with its quartiles, and the median
-and quartiles of the per-pair ratio change / parent.  It exits 1 if the two
-sides' verdicts or node totals differ.  Standard library only.
+and quartiles of the per-pair ratio change / parent.  It also times
+`import npnas.cli`, which the benchmark's `setup_s` includes: each side's
+src is byte-compiled first (stale or missing bytecode would be compiled
+again on every import when PYTHONDONTWRITEBYTECODE is set), then one fresh
+interpreter per pair and side imports it, in the same ABBA order, and each
+side's median and quartiles are printed.  It exits 1 if the two sides'
+verdicts or node totals differ.  Standard library only.
 """
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -89,6 +95,10 @@ def worker() -> None:
         print(json.dumps(reply), flush=True)
 
 
+IMPORT = ("import time; t0 = time.perf_counter(); import npnas.cli; "
+          "print(time.perf_counter() - t0)")
+
+
 class Side:
     """A worker process over one checkout."""
 
@@ -96,12 +106,14 @@ class Side:
         src = os.path.join(os.path.abspath(checkout), "src")
         if not os.path.isdir(os.path.join(src, "npnas")):
             sys.exit(f"{checkout}: no src/npnas there")
-        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
-        self.name = name
+        self.env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+        self.name, self.src = name, src
         self.proc = subprocess.Popen(
-            [sys.executable, os.path.abspath(__file__), "--worker"], env=env,
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+            [sys.executable, os.path.abspath(__file__), "--worker"],
+            env=self.env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True)
         self.seconds: list[float] = []
+        self.import_seconds: list[float] = []
         self.results: set[tuple[int, str]] = set()
 
     def ask(self, **req) -> dict:
@@ -118,6 +130,14 @@ class Side:
             self.seconds.append(r["s"])
         self.results.add((r["nodes"], r["verdicts"]))
 
+    def time_import(self) -> None:
+        """Time `import npnas.cli` in a fresh interpreter."""
+        done = subprocess.run([sys.executable, "-c", IMPORT], env=self.env,
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"{self.name}: import npnas.cli failed\n{done.stderr}")
+        self.import_seconds.append(float(done.stdout))
+
     def close(self) -> None:
         self.proc.stdin.close()
         self.proc.wait()
@@ -126,6 +146,21 @@ class Side:
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
     q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
     return q1, q2, q3
+
+
+def abba(parent: Side, change: Side, pairs: int):
+    """The sides in ABBA order, pair by pair."""
+    for k in range(pairs):
+        yield from (parent, change) if k % 2 == 0 else (change, parent)
+
+
+def print_sides(unit: str, scale: float, sides: dict[str, list[float]]):
+    """Each side's median and quartiles, in `unit` (seconds times scale)."""
+    print(f"{'side':8} {'median_' + unit:>9} {'q1_' + unit:>9} "
+          f"{'q3_' + unit:>9}")
+    for name, xs in sides.items():
+        q1, q2, q3 = (x * scale for x in quartiles(xs))
+        print(f"{name:8} {q2:9.4f} {q1:9.4f} {q3:9.4f}")
 
 
 def main() -> int:
@@ -145,25 +180,29 @@ def main() -> int:
         for side in (parent, change):
             side.ask(do="load", family=args.family, texts=texts)
             side.round(timed=False)
-        for k in range(args.pairs):
-            for side in ((parent, change) if k % 2 == 0 else (change, parent)):
-                side.round()
+        for side in abba(parent, change, args.pairs):
+            side.round()
     finally:
         parent.close()
         change.close()
+    for side in (parent, change):
+        compileall.compile_dir(side.src, quiet=1)
+    for side in abba(parent, change, args.pairs):
+        side.time_import()
 
     print(f"family {args.family}: {len(texts)} files, {args.pairs} pairs "
           "in ABBA order, PYTHONHASHSEED=0")
-    print(f"{'side':8} {'median_s':>9} {'q1_s':>9} {'q3_s':>9}")
-    for side in (parent, change):
-        q1, q2, q3 = quartiles(side.seconds)
-        print(f"{side.name:8} {q2:9.4f} {q1:9.4f} {q3:9.4f}")
+    print_sides("s", 1, {side.name: side.seconds for side in (parent, change)})
     ratios = [c / p for p, c in zip(parent.seconds, change.seconds)]
     q1, q2, q3 = quartiles(ratios)
     wins = sum(r < 1 for r in ratios)
     print(f"ratio change/parent: median {q2:.3f}, quartiles {q1:.3f} "
           f"{q3:.3f}; change faster in {wins} of {len(ratios)} pairs")
     print("per pair: " + " ".join(f"{r:.3f}" for r in ratios))
+    print("import npnas.cli, one fresh interpreter per pair and side, "
+          "byte-compiled:")
+    print_sides("ms", 1e3, {side.name: side.import_seconds
+                            for side in (parent, change)})
     if parent.results != change.results or len(parent.results) != 1:
         print("verdicts or node totals differ:", file=sys.stderr)
         for side in (parent, change):

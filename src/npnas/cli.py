@@ -394,13 +394,16 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     sig, p = _load_np(args.file)
     result = decide(sig, p, SolveOptions(budget=args.budget))
-    print(f"result: {'sat' if result.sat else 'unsat'}")
+    # The report is rendered in full before any of it is written, so a
+    # witness too deep to print leaves stdout empty and exits 3.
+    lines = [f"result: {'sat' if result.sat else 'unsat'}"]
     if result.reason:
-        print(f"reason: {result.reason}")
+        lines.append(f"reason: {result.reason}")
     if result.sat and not args.no_witness:
-        for x in p.env:
-            print(f"{x} = {realize(result.witness[x])}")
-    print(f"stats: nodes={result.nodes} normal-forms={result.normal_forms}")
+        lines.extend(f"{x} = {realize(result.witness[x])}" for x in p.env)
+    lines.append(f"stats: nodes={result.nodes} "
+                 f"normal-forms={result.normal_forms}")
+    print("\n".join(lines))
     return 0 if result.sat else 1
 
 

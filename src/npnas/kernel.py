@@ -6,28 +6,44 @@ class: a bound name is the distance to its binder and free names stay
 explicit, so two trees are alpha-equivalent iff their alpha-trees are
 equal.  `canonicalize` and `realize` convert between the two forms.
 
-All values here are immutable and all operations are pure functions.
+All operations are pure functions, and all values are immutable by
+convention.  Each value is a slotted class whose `__init__` sets its
+fields and its facts (the free `names` of an alpha-tree node, the `vars`
+of a term or constraint); nothing assigns a field after `__init__`.  Those
+facts, and the results `memo_on_object` keeps on a value, rely on that.
+`==` and `hash` read the fields alone, never the facts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial, wraps
+from functools import wraps
 from typing import Mapping, Union
 
 from .errors import TypeMismatch, UndeclaredSort, Uninhabited, ValidationError
 
 # ---------------------------------------------------------------------------
-# Facts of immutable values
+# Values
 
-# A field set in __post_init__, when the value is built; not in ==, hash or repr.
-derived = partial(field, init=False, repr=False, compare=False)
+class Value:
+    """Base of the value classes: a dataclass-style repr of `_fields`.
+
+    Each subclass lists its fields in `_fields` and its `__slots__`, and
+    writes its own `__init__`, `__eq__` and `__hash__`: `==` tests identity
+    first, then the class and the fields, as a frozen dataclass would."""
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
 def memo_on_object(fn):
     """Memoise a one-argument function on immutable values by storing the
     result in the argument's own __dict__, so it lives and dies with the
     object.  It holds the rule-level facts `rewrite._split_eq`,
-    `clash_kind` and `shared_vars`."""
+    `clash_kind` and `shared_vars`, so only `Eq`, `Fresh` and `Problem`
+    have a __dict__.  A result stays valid because nothing assigns a field
+    of a value after it is built."""
     key = f"_memo_{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
@@ -44,46 +60,101 @@ def memo_on_object(fn):
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
-class NameSortT:
+class NameSortT(Value):
     """Type of bindable names of a given sort."""
-    sort: str
+    __slots__ = _fields = ("sort",)
+
+    def __init__(self, sort: str):
+        self.sort = sort
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort == other.sort
+
+    def __hash__(self):
+        return hash((self.sort,))
 
     def __str__(self):
         return f"(name {self.sort})"
 
 
-@dataclass(frozen=True)
-class DataSortT:
-    sort: str
+class DataSortT(Value):
+    __slots__ = _fields = ("sort",)
+
+    def __init__(self, sort: str):
+        self.sort = sort
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort == other.sort
+
+    def __hash__(self):
+        return hash((self.sort,))
 
     def __str__(self):
         return f"(data {self.sort})"
 
 
-@dataclass(frozen=True)
-class UnitT:
+class UnitT(Value):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
+
     def __str__(self):
         return "unit"
 
 
-@dataclass(frozen=True)
-class AbsT:
+class AbsT(Value):
     """Abstraction type: binder is always a name sort."""
-    binder: str
-    body: "Type"
+    __slots__ = _fields = ("binder", "body")
+
+    def __init__(self, binder: str, body: Type):
+        self.binder = binder
+        self.body = body
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.binder == other.binder and self.body == other.body
+
+    def __hash__(self):
+        return hash((self.binder, self.body))
 
     def __str__(self):
         return f"(abs (name {self.binder}) {self.body})"
 
 
-@dataclass(frozen=True)
-class TupleT:
-    items: tuple["Type", ...]  # length >= 2
+class TupleT(Value):
+    __slots__ = _fields = ("items",)
 
-    def __post_init__(self):
-        if len(self.items) < 2:
+    def __init__(self, items: tuple[Type, ...]):
+        if len(items) < 2:
             raise ValueError("tuple types need at least two components")
+        self.items = items
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
 
     def __str__(self):
         return "(pair " + " ".join(str(t) for t in self.items) + ")"
@@ -97,19 +168,33 @@ UNIT_T = UnitT()
 # ---------------------------------------------------------------------------
 # Signatures
 
-@dataclass(frozen=True)
-class Signature:
-    """Name sorts, data sorts and constructors of the object language."""
-    name_sorts: frozenset[str]
-    data_sorts: frozenset[str]
-    constructors: Mapping[str, tuple[Type, str]]  # K -> (arg type, result sort)
-    arg_sorts: Mapping[str, tuple[set[str], set[str]]] = derived()  # K -> type_sorts(arg)
-    builders: Mapping[str, str] = derived()  # data sort -> K building its inhabitant
+class Signature(Value):
+    """Name sorts, data sorts and constructors of the object language.
 
-    def __post_init__(self):  # one type_sorts walk per constructor
-        object.__setattr__(self, "arg_sorts", {
-            con: type_sorts(arg) for con, (arg, _) in self.constructors.items()})
-        object.__setattr__(self, "builders", _builders(self))
+    `arg_sorts` (K -> type_sorts of K's argument, one walk per constructor)
+    and `builders` (data sort -> K building its inhabitant) are its facts."""
+    _fields = ("name_sorts", "data_sorts", "constructors")
+    __slots__ = _fields + ("arg_sorts", "builders")
+
+    def __init__(self, name_sorts: frozenset[str], data_sorts: frozenset[str],
+                 constructors: Mapping[str, tuple[Type, str]]):
+        self.name_sorts = name_sorts
+        self.data_sorts = data_sorts
+        self.constructors = constructors  # K -> (arg type, result sort)
+        self.arg_sorts = {con: type_sorts(arg)
+                          for con, (arg, _) in constructors.items()}
+        self.builders = _builders(self)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name_sorts == other.name_sorts
+                and self.data_sorts == other.data_sorts
+                and self.constructors == other.constructors)
+
+    __hash__ = None  # constructors is a mapping
 
     def arg_type(self, con: str) -> Type:
         return self.constructors[con][0]
@@ -162,47 +247,103 @@ def validate_signature(sig: Signature) -> None:
 # ---------------------------------------------------------------------------
 # Names and ground trees (the named form of a witness)
 
-@dataclass(frozen=True)
-class Name:
-    """A permutative name: (sort, index) out of a countable per-sort pool."""
-    sort: str
-    index: int
+class Name(Value):
+    """A permutative name: (sort, index) out of a countable per-sort pool.
+    As an alpha-tree node its free `names` are itself."""
+    _fields = ("sort", "index")
+    __slots__ = _fields + ("names",)
 
-    @property
-    def names(self) -> frozenset[Name]:  # as an alpha-tree node
-        return frozenset((self,))
+    def __init__(self, sort: str, index: int):
+        self.sort = sort
+        self.index = index
+        self.names = frozenset((self,))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index and self.sort == other.sort
+
+    def __hash__(self):
+        return hash((self.sort, self.index))
 
     def __str__(self):
         return f"n{self.index}@{self.sort}"
 
 
-@dataclass(frozen=True)
-class GUnit:
+class GUnit(Value):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
+
     def __str__(self):
         return "unit"
 
 
-@dataclass(frozen=True)
-class GTuple:
-    items: tuple["GroundTree", ...]
+class GTuple(Value):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple[GroundTree, ...]):
+        self.items = items
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
 
     def __str__(self):
         return "(tuple " + " ".join(str(g) for g in self.items) + ")"
 
 
-@dataclass(frozen=True)
-class GApp:
-    con: str
-    arg: "GroundTree"
+class GApp(Value):
+    __slots__ = _fields = ("con", "arg")
+
+    def __init__(self, con: str, arg: GroundTree):
+        self.con = con
+        self.arg = arg
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.con == other.con and self.arg == other.arg
+
+    def __hash__(self):
+        return hash((self.con, self.arg))
 
     def __str__(self):
         return f"(con {self.con} {self.arg})"
 
 
-@dataclass(frozen=True)
-class GAbs:
-    binder: Name
-    body: "GroundTree"
+class GAbs(Value):
+    __slots__ = _fields = ("binder", "body")
+
+    def __init__(self, binder: Name, body: GroundTree):
+        self.binder = binder
+        self.body = body
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.binder == other.binder and self.body == other.body
+
+    def __hash__(self):
+        return hash((self.binder, self.body))
 
     def __str__(self):
         return f"(abs {self.binder} {self.body})"
@@ -214,49 +355,98 @@ GUNIT = GUnit()
 
 
 # ---------------------------------------------------------------------------
-# Canonical alpha-tree representatives
+# Canonical alpha-tree representatives (each node carries `names`, its
+# free names; a binder is nameless, so an AAbs has those of its body)
 
-@dataclass(frozen=True)
-class ABound:
+class ABound(Value):
     """Bound occurrence: number of binders between it and its binder."""
-    depth: int
+    __slots__ = _fields = ("depth",)
     names = frozenset()
 
+    def __init__(self, depth: int):
+        self.depth = depth
 
-@dataclass(frozen=True)
-class AUnit:
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.depth == other.depth
+
+    def __hash__(self):
+        return hash((self.depth,))
+
+
+class AUnit(Value):
+    __slots__ = ()
     names = frozenset()
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
 
-# Free names: a binder is nameless, so an AAbs has those of its body.
-
-@dataclass(frozen=True)
-class ATuple:
-    items: tuple["ANode", ...]
-    names: frozenset[Name] = derived()
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", frozenset().union(*[a.names for a in self.items]))
+    def __hash__(self):
+        return hash(())
 
 
-@dataclass(frozen=True)
-class AApp:
-    con: str
-    arg: "ANode"
-    names: frozenset[Name] = derived()
+class ATuple(Value):
+    _fields = ("items",)
+    __slots__ = _fields + ("names",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", self.arg.names)
+    def __init__(self, items: tuple[ANode, ...]):
+        self.items = items
+        self.names = frozenset().union(*[a.names for a in items])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
 
 
-@dataclass(frozen=True)
-class AAbs:
-    sort: str
-    body: "ANode"
-    names: frozenset[Name] = derived()
+class AApp(Value):
+    _fields = ("con", "arg")
+    __slots__ = _fields + ("names",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", self.body.names)
+    def __init__(self, con: str, arg: ANode):
+        self.con = con
+        self.arg = arg
+        self.names = arg.names
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.con == other.con and self.arg == other.arg
+
+    def __hash__(self):
+        return hash((self.con, self.arg))
+
+
+class AAbs(Value):
+    _fields = ("sort", "body")
+    __slots__ = _fields + ("names",)
+
+    def __init__(self, sort: str, body: ANode):
+        self.sort = sort
+        self.body = body
+        self.names = body.names
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort == other.sort and self.body == other.body
+
+    def __hash__(self):
+        return hash((self.sort, self.body))
 
 
 ANode = Union[Name, ABound, AUnit, ATuple, AApp, AAbs]
@@ -264,11 +454,23 @@ ANode = Union[Name, ABound, AUnit, ATuple, AApp, AAbs]
 AUNIT = AUnit()
 
 
-@dataclass(frozen=True)
-class AlphaTree:
+class AlphaTree(Value):
     """Canonical representative of an alpha-equivalence class: bound names
     replaced by binder distances, free names kept explicit."""
-    node: ANode
+    __slots__ = _fields = ("node",)
+
+    def __init__(self, node: ANode):
+        self.node = node
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.node == other.node
+
+    def __hash__(self):
+        return hash((self.node,))
 
     def free_names(self) -> frozenset[Name]:
         return self.node.names

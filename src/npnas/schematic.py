@@ -7,7 +7,6 @@ whose binder variable maps to a name is possibly capturing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import (
@@ -35,67 +34,115 @@ from .kernel import (
     TupleT,
     Type,
     UNIT_T,
-    derived,
+    Value,
     type_sorts,
 )
 
 # ---------------------------------------------------------------------------
 # Terms (each term and constraint carries `vars`: its variables, binders too)
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    vars: frozenset[str] = derived()
+class Var(Value):
+    _fields = ("name",)
+    __slots__ = _fields + ("vars",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", frozenset((self.name,)))
+    def __init__(self, name: str):
+        self.name = name
+        self.vars = frozenset((name,))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class SUnit:
+class SUnit(Value):
+    __slots__ = ()
     vars = frozenset()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
 
     def __str__(self):
         return "unit"
 
 
-@dataclass(frozen=True)
-class STuple:
-    items: tuple["Term", ...]
-    vars: frozenset[str] = derived()
+class STuple(Value):
+    _fields = ("items",)
+    __slots__ = _fields + ("vars",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", frozenset().union(*[t.vars for t in self.items]))
+    def __init__(self, items: tuple[Term, ...]):
+        self.items = items
+        self.vars = frozenset().union(*[t.vars for t in items])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
 
     def __str__(self):
         return "(tuple " + " ".join(str(t) for t in self.items) + ")"
 
 
-@dataclass(frozen=True)
-class SApp:
-    con: str
-    arg: "Term"
-    vars: frozenset[str] = derived()
+class SApp(Value):
+    _fields = ("con", "arg")
+    __slots__ = _fields + ("vars",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", self.arg.vars)
+    def __init__(self, con: str, arg: Term):
+        self.con = con
+        self.arg = arg
+        self.vars = arg.vars
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.con == other.con and self.arg == other.arg
+
+    def __hash__(self):
+        return hash((self.con, self.arg))
 
     def __str__(self):
         return f"(con {self.con} {self.arg})"
 
 
-@dataclass(frozen=True)
-class SAbs:
+class SAbs(Value):
     """Abstraction; the binder position only ever holds a variable."""
-    binder: str
-    body: "Term"
-    vars: frozenset[str] = derived()
+    _fields = ("binder", "body")
+    __slots__ = _fields + ("vars",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", self.body.vars | {self.binder})
+    def __init__(self, binder: str, body: Term):
+        self.binder = binder
+        self.body = body
+        self.vars = body.vars | {binder}
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.binder == other.binder and self.body == other.body
+
+    def __hash__(self):
+        return hash((self.binder, self.body))
 
     def __str__(self):
         return f"(abs {self.binder} {self.body})"
@@ -122,30 +169,51 @@ def wrap_abs(binders: tuple[str, ...], core: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Constraints and problems
+# Constraints and problems (these have a __dict__, for the facts
+# `memo_on_object` keeps on them, and take weak references)
 
-@dataclass(frozen=True)
-class Eq:
-    lhs: Term
-    rhs: Term
-    vars: frozenset[str] = derived()
+class Eq(Value):
+    _fields = ("lhs", "rhs")
+    __slots__ = _fields + ("vars", "__dict__", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", self.lhs.vars | self.rhs.vars)
+    def __init__(self, lhs: Term, rhs: Term):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.vars = lhs.vars | rhs.vars
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lhs == other.lhs and self.rhs == other.rhs
+
+    def __hash__(self):
+        return hash((self.lhs, self.rhs))
 
     def __str__(self):
         return f"(eq {self.lhs} {self.rhs})"
 
 
-@dataclass(frozen=True)
-class Fresh:
+class Fresh(Value):
     """The value of var (a name) must not occur free in the target's value."""
-    var: str
-    target: Term
-    vars: frozenset[str] = derived()
+    _fields = ("var", "target")
+    __slots__ = _fields + ("vars", "__dict__", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", self.target.vars | {self.var})
+    def __init__(self, var: str, target: Term):
+        self.var = var
+        self.target = target
+        self.vars = target.vars | {var}
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.var == other.var and self.target == other.target
+
+    def __hash__(self):
+        return hash((self.var, self.target))
 
     def __str__(self):
         return f"(fresh {self.var} {self.target})"
@@ -157,10 +225,24 @@ Constraint = Union[Eq, Fresh]
 Env = Mapping[str, Type]
 
 
-@dataclass(frozen=True)
-class Problem:
-    env: Mapping[str, Type]
-    constraints: tuple[Constraint, ...]
+class Problem(Value):
+    _fields = ("env", "constraints")
+    __slots__ = _fields + ("__dict__", "__weakref__")
+
+    def __init__(self, env: Mapping[str, Type],
+                 constraints: tuple[Constraint, ...]):
+        self.env = env
+        self.constraints = constraints
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.env == other.env
+                and self.constraints == other.constraints)
+
+    __hash__ = None  # env is a mapping
 
     def __str__(self):
         return "; ".join(str(c) for c in self.constraints) or "(empty)"

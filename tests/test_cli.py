@@ -461,13 +461,24 @@ DEEP_SIGNATURE = ("(signature (name-sort nm) (data-sort tm)\n"
 
 
 def test_solve_deep_equation_is_a_resource_limit(tmp_path, capsys):
-    # Comparing alpha-trees in the witness re-check recurses once per level.
+    # Printing the witness recurses once per level.  The report is written
+    # only once it is rendered, so none of it reaches stdout.
     path = tmp_path / "deep-eq.np"
     path.write_text(DEEP_SIGNATURE + "(vars (b (name nm)) (x (data tm)))\n"
                     f"(constraints (eq x {_deep_term(160)}))\n")
     code, out, err = run(capsys, "solve", str(path))
     assert code == 3 and out == ""
     assert err == "error: input nested too deeply\n"
+
+
+def test_solve_deep_equation_without_witness(tmp_path, capsys):
+    # Without the witness printed, the search and the re-check decide it.
+    path = tmp_path / "deep-eq.np"
+    path.write_text(DEEP_SIGNATURE + "(vars (b (name nm)) (x (data tm)))\n"
+                    f"(constraints (eq x {_deep_term(180)}))\n")
+    code, out, err = run(capsys, "solve", "--no-witness", str(path))
+    assert code == 0 and err == ""
+    assert out.startswith("result: sat\nstats: ")
 
 
 def test_deep_numeral_is_a_resource_limit(tmp_path, capsys):
@@ -486,8 +497,8 @@ def test_deep_numeral_is_a_resource_limit(tmp_path, capsys):
 
 def test_solve_deep_term(tmp_path, capsys):
     # Rendering the constraint recurses once per level; the search must not.
-    # (An equation this deep still exhausts the stack when the witness is
-    # re-checked by comparing alpha-trees, so the constraint is a freshness.)
+    # (The constraint is a freshness, so the witness it prints is names only;
+    # an equation's witness is as deep as the term, see the tests above.)
     text = (DEEP_SIGNATURE + "(vars (a (name nm)) (b (name nm)))\n"
             f"(constraints (fresh a {_deep_term(150)}))\n")
     sig, p = parse_problem(text)

@@ -1,12 +1,13 @@
 """Randomized algebraic properties of the ground-tree kernel, metamorphic
 properties of the decision procedure, and properties of the reader."""
 import contextlib
+import inspect
 import io
 import random
 import re
 import sys
 import tempfile
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from npnas.cli import (
     _position, _tokens, format_problem, main, parse_eu, parse_problem)
 from npnas.decider import decide
 from npnas.errors import NpnasError, SourceSyntaxError
-from npnas.kernel import AbsT, DataSortT, NameSortT, TupleT, UNIT_T, make_signature
+from npnas.kernel import (
+    AApp, ABound, AbsT, ATuple, AUnit, DataSortT, NameSortT, Signature,
+    TupleT, UNIT_T, Value, make_signature)
 from npnas.oracle import (
     random_eu_problem, random_problem, random_term, random_type,
     small_signature)
@@ -111,6 +114,90 @@ def test_vars_are_the_reference_walk(seed):
         assert t.vars == reference_vars(t)
     assert Eq(lhs, rhs).vars == reference_vars(lhs) | reference_vars(rhs)
     assert Fresh("a", rhs).vars == reference_vars(rhs) | {"a"}
+
+
+def reference_names(node) -> frozenset[Name]:
+    """The free names of an alpha-tree node by a recursive walk."""
+    if isinstance(node, Name):
+        return frozenset([node])
+    if isinstance(node, (ABound, AUnit)):
+        return frozenset()
+    if isinstance(node, ATuple):
+        return frozenset().union(*map(reference_names, node.items))
+    if isinstance(node, AApp):
+        return reference_names(node.arg)
+    return reference_names(node.body)
+
+
+@cache
+def _params(cls) -> tuple[str, ...]:
+    return tuple(inspect.signature(cls).parameters)
+
+
+def _fields(v) -> dict:
+    """v's constructor arguments, read back from the attributes they set."""
+    return {k: getattr(v, k) for k in _params(type(v))}
+
+
+def _walk(v):
+    """v and every value in its fields, their items and an env's types."""
+    todo = [v]
+    for v in todo:
+        yield v
+        for f in _fields(v).values():
+            parts = (f.values() if isinstance(f, dict)
+                     else f if isinstance(f, tuple) else (f,))
+            todo.extend(x for x in parts if isinstance(x, Value))
+
+
+_VALUE_CLASSES = Value.__subclasses__()
+
+
+@given(st.integers(0, 2**32 - 1), trees)
+@settings(max_examples=150)
+def test_values_keep_the_value_contract(seed, g):
+    rng = random.Random(seed)
+    sig = small_signature()
+    ty = random_type(rng)
+    lhs, rhs = (random_term(rng, sig, _VARS_ENV, ty, depth=4)
+                for _ in range(2))
+    p = Problem(dict(_VARS_ENV), (Eq(lhs, rhs), Fresh("a", rhs)))
+    for v in [*_walk(ty), *_walk(p), *_walk(canonicalize(g)), *_walk(g)]:
+        cls = type(v)
+        # A copy rebuilt from the fields by keyword is the same value.
+        copy = cls(**_fields(v))
+        assert copy == v and not copy != v
+        if isinstance(v, Problem):
+            with pytest.raises(TypeError):
+                hash(v)
+        else:
+            assert hash(copy) == hash(v)
+        # Equal fields in another class make another value.
+        for other in _VALUE_CLASSES:
+            if other is cls or len(_params(other)) != len(_params(cls)):
+                continue
+            try:
+                twin = other(*_fields(v).values())
+            except (AttributeError, TypeError, ValueError):
+                continue  # the fields do not fit that class
+            assert twin != v and v != twin
+        # The facts set in __init__ are the reference walks.
+        if isinstance(v, Eq):
+            assert v.vars == reference_vars(v.lhs) | reference_vars(v.rhs)
+        elif isinstance(v, Fresh):
+            assert v.vars == reference_vars(v.target) | {v.var}
+        elif hasattr(v, "vars"):
+            assert v.vars == reference_vars(v)
+        if hasattr(v, "names"):
+            assert v.names == reference_names(v)
+        # Only the values memo_on_object writes to have a __dict__.
+        assert hasattr(v, "__dict__") == isinstance(v, (Eq, Fresh, Problem))
+    assert NameSortT("nm") != DataSortT("nm")
+    assert SApp("L", lhs) != SAbs("L", lhs)
+    copy = Signature(**_fields(sig))
+    assert copy == sig and copy.builders == sig.builders
+    with pytest.raises(TypeError):
+        hash(sig)
 
 
 def _rename(t, m):

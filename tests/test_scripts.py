@@ -38,3 +38,6 @@ def test_paired_runs_on_the_deep_family():
     out = _script("scripts/paired.py", ".", ".", "--family", "deep",
                   "--pairs", "1")
     assert "verdicts and nodes agree" in out
+    # It also times `import npnas.cli` once per side and pair.
+    table = out.split("import npnas.cli")[1].splitlines()
+    assert [line.split()[0] for line in table[2:4]] == ["parent", "change"]
