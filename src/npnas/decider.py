@@ -73,7 +73,16 @@ skipping a state reached twice.
   termination measure, so the composite does too (Martelli and Montanari
   apply chains of single-branch steps at once in the same way).  The
   block keeps q's other constraints in order, each kept or rewritten by
-  x's substitution, as the tags need.
+  x's substitution, as the tags need.  A reducible `fresh x <ys>t` whose
+  core t is not a variable goes to its leaves in one step too: one
+  `fresh x <prefix>v` for each variable v of t outside a binder position,
+  under the binders above v, in left-to-right order.  This composes
+  `expand`'s freshness steps while they decompose: `a # <ys>K(t)` holds
+  iff `a # <ys>t` does, a tuple's freshness is the conjunction of its
+  items', and a unit's always holds.  Each of those steps is an
+  equivalence and decreases the termination measure, so the composite
+  preserves satisfiability and decreases the measure too.  A freshness
+  whose core is a variable still goes to `expand`.
 """
 from __future__ import annotations
 
@@ -150,10 +159,13 @@ def _branching(env: Env, c: Constraint) -> bool:
 def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
     """The branches the search explores for reducible constraint i: all of
     `expand`'s, but only the first orientation of `eq x y` (x ≠ y: `expand`
-    drops `eq x x`), and narrowing and decomposition carried to the leaves
-    in one step."""
+    drops `eq x x`), and narrowing and the decomposition of equations and
+    freshness carried to the leaves in one step."""
     c = q.constraints[i]
-    if isinstance(c, Eq):
+    if isinstance(c, Fresh):
+        if not isinstance(abs_prefix(c.target)[1], Var):
+            return (_replace(q, i, _fresh_leaves(c.var, c.target)),)
+    elif isinstance(c, Eq):
         xs, bl, _, br = _split_eq(c)
         if not isinstance(bl, Var) and not isinstance(br, Var):
             return (_replace(q, i, _leaves(c.lhs, c.rhs)),)
@@ -195,6 +207,27 @@ def _leaves(lhs: Term, rhs: Term) -> list[Constraint]:
                          zip(reversed(l.items), reversed(r.items)))
         elif not (isinstance(l, SUnit) and isinstance(r, SUnit)):
             out.append(Eq(_wrap(xs, l), _wrap(ys, r)))
+    return out
+
+
+def _fresh_leaves(x: str, t: Term) -> list[Constraint]:
+    """The freshness constraints left, in left-to-right order, when
+    `fresh x t` is decomposed through every constructor and tuple: one
+    `fresh x <prefix>v` for each variable v of t outside a binder position,
+    under the binders above v.  Units drop out.  Binder prefixes are
+    carried down as linked lists and wrapped once per leaf."""
+    out: list[Constraint] = []
+    stack: list[tuple] = [(None, t)]
+    while stack:
+        ys, u = stack.pop()
+        while isinstance(u, SAbs):
+            ys, u = (u.binder, ys), u.body
+        if isinstance(u, SApp):
+            stack.append((ys, u.arg))
+        elif isinstance(u, STuple):
+            stack.extend((ys, item) for item in reversed(u.items))
+        elif isinstance(u, Var):
+            out.append(Fresh(x, _wrap(ys, u)))
     return out
 
 

@@ -304,7 +304,7 @@ class GTuple(Value):
         return hash((self.items,))
 
     def __str__(self):
-        return "(tuple " + " ".join(str(g) for g in self.items) + ")"
+        return _render(self)
 
 
 class GApp(Value):
@@ -325,7 +325,7 @@ class GApp(Value):
         return hash((self.con, self.arg))
 
     def __str__(self):
-        return f"(con {self.con} {self.arg})"
+        return _render(self)
 
 
 class GAbs(Value):
@@ -346,12 +346,36 @@ class GAbs(Value):
         return hash((self.binder, self.body))
 
     def __str__(self):
-        return f"(abs {self.binder} {self.body})"
+        return _render(self)
 
 
 GroundTree = Union[Name, GUnit, GTuple, GApp, GAbs]
 
 GUNIT = GUnit()
+
+
+def _render(g: GroundTree) -> str:
+    """The printed form of ground tree g.  The walk keeps an explicit stack
+    of subtrees and the text around them, so a witness of any depth
+    prints."""
+    out: list[str] = []
+    todo: list = [g]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, GApp):
+            todo += (")", g.arg, f"(con {g.con} ")
+        elif isinstance(g, GAbs):
+            todo += (")", g.body, f"(abs {g.binder} ")
+        elif isinstance(g, GTuple):
+            todo.append(")")
+            for item in reversed(g.items[1:]):
+                todo += (item, " ")
+            todo += (g.items[0], "(tuple ")
+        else:
+            out.append(str(g))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -516,27 +540,44 @@ def realize(a: AlphaTree) -> GroundTree:
     counter: dict[str, int] = {}
     for n in a.free_names():
         counter[n.sort] = max(counter.get(n.sort, 0), n.index + 1)
-
-    def go(node: ANode, binders: list[Name]) -> GroundTree:
+    # todo holds the nodes still to visit and, under each compound one,
+    # the step (class, data) that builds its tree from those its children
+    # left on `built`.  Nodes are visited in pre-order, so binders are
+    # numbered in the order a left-to-right walk meets them.
+    binders: list[Name] = []
+    built: list[GroundTree] = []
+    todo: list = [a.node]
+    while todo:
+        node = todo.pop()
         if isinstance(node, Name):
-            return node
-        if isinstance(node, ABound):
-            return binders[-1 - node.depth]
-        if isinstance(node, AUnit):
-            return GUNIT
-        if isinstance(node, ATuple):
-            return GTuple(tuple(go(item, binders) for item in node.items))
-        if isinstance(node, AApp):
-            return GApp(node.con, go(node.arg, binders))
-        idx = counter.get(node.sort, 0)
-        counter[node.sort] = idx + 1
-        binder = Name(node.sort, idx)
-        binders.append(binder)
-        body = go(node.body, binders)
-        binders.pop()
-        return GAbs(binder, body)
-
-    return go(a.node, [])
+            built.append(node)
+        elif isinstance(node, ABound):
+            built.append(binders[-1 - node.depth])
+        elif isinstance(node, AUnit):
+            built.append(GUNIT)
+        elif isinstance(node, ATuple):
+            todo.append((GTuple, len(node.items)))
+            todo.extend(reversed(node.items))
+        elif isinstance(node, AApp):
+            todo += ((GApp, node.con), node.arg)
+        elif isinstance(node, AAbs):
+            idx = counter.get(node.sort, 0)
+            counter[node.sort] = idx + 1
+            binders.append(Name(node.sort, idx))
+            todo += ((GAbs, binders[-1]), node.body)
+        else:
+            cls, data = node
+            if cls is GTuple:
+                items = tuple(built[len(built) - data:])
+                del built[len(built) - data:]
+                built.append(GTuple(items))
+            elif cls is GApp:
+                built.append(GApp(data, built.pop()))
+            else:  # the body is built: its binder leaves scope
+                built.append(GAbs(data, built.pop()))
+                binders.pop()
+    (g,) = built
+    return g
 
 
 # ---------------------------------------------------------------------------

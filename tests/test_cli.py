@@ -461,14 +461,32 @@ DEEP_SIGNATURE = ("(signature (name-sort nm) (data-sort tm)\n"
 
 
 def test_solve_deep_equation_is_a_resource_limit(tmp_path, capsys):
-    # Printing the witness recurses once per level.  The report is written
-    # only once it is rendered, so none of it reaches stdout.
+    # The re-check compares the witness's alpha-trees with `==`, which
+    # recurses once per level.  The report is written only once it is
+    # rendered, so none of it reaches stdout.
     path = tmp_path / "deep-eq.np"
     path.write_text(DEEP_SIGNATURE + "(vars (b (name nm)) (x (data tm)))\n"
-                    f"(constraints (eq x {_deep_term(160)}))\n")
+                    f"(constraints (eq x {_deep_term(230)}))\n")
     code, out, err = run(capsys, "solve", str(path))
     assert code == 3 and out == ""
     assert err == "error: input nested too deeply\n"
+
+
+def test_solve_prints_a_deep_witness(tmp_path, capsys):
+    # `realize` and the ground trees' printing walk with explicit stacks.
+    path = tmp_path / "deep-eq.np"
+    path.write_text(DEEP_SIGNATURE + "(vars (b (name nm)) (x (data tm)))\n"
+                    f"(constraints (eq x {_deep_term(200)}))\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 0 and err == ""
+    # x is the term itself, its binders named n0@nm outermost to n99@nm.
+    t = "(con V n99@nm)"
+    for i in range(200):
+        t = (f"(con L (abs n{99 - i // 2}@nm {t}))" if i % 2 == 0
+             else f"(con P (tuple {t} (con Z unit)))")
+    head, b, x, stats = out.splitlines()
+    assert (head, b, x) == ("result: sat", "b = n0@nm", f"x = {t}")
+    assert stats.startswith("stats: ")
 
 
 def test_solve_deep_equation_without_witness(tmp_path, capsys):

@@ -488,11 +488,14 @@ def test_every_successor_replaces_one_constraint_by_a_block():
 # Narrowing and decomposition to the leaves in one step
 
 def _fused_rule(q, j, st):
-    """'decompose' or 'narrow' when the search takes constraint j of q to
-    its leaves in one step, else None; with the variable narrowed."""
+    """'decompose', 'narrow' or 'fresh' when the search takes constraint j
+    of q to its leaves in one step, else None; with the variable narrowed."""
     c = q.constraints[j]
-    if st[j] is not None or not isinstance(c, Eq):
+    if st[j] is not None:
         return None, None
+    if isinstance(c, Fresh):
+        _, core = schematic.abs_prefix(c.target)
+        return ("fresh" if not isinstance(core, Var) else None), None
     xs, bl, _, br = rewrite._split_eq(c)
     if not isinstance(bl, Var) and not isinstance(br, Var):
         return "decompose", None
@@ -517,7 +520,7 @@ def _single_steps(sig, q, i):
         j = None
         for k in range(lo, hi):
             rule, x = _fused_rule(q, k, st)
-            if rule == "decompose" or x in introduced:
+            if rule in ("decompose", "fresh") or x in introduced:
                 j = k
                 break
     return q, introduced
@@ -608,7 +611,7 @@ def _fused_steps():
 
 
 def test_one_step_to_the_leaves_composes_expands_steps():
-    counts = {"decompose": 0, "narrow": 0, "chained": 0}
+    counts = {"decompose": 0, "narrow": 0, "fresh": 0, "chained": 0}
     for s, q, i, rule in _fused_steps():
         (fused,) = decider._branches(s, q, i)
         ref, introduced = _single_steps(s, q, i)
@@ -626,8 +629,8 @@ def test_one_step_to_the_leaves_composes_expands_steps():
 
 
 def test_one_step_to_the_leaves_decreases_the_measure():
-    stepped = 0
-    for s, q, i, _ in _fused_steps():
+    stepped = {"decompose": 0, "narrow": 0, "fresh": 0}
+    for s, q, i, rule in _fused_steps():
         if not foreduce.fo_sat(s, q):
             continue
         (kid,) = decider._branches(s, q, i)
@@ -635,8 +638,8 @@ def test_one_step_to_the_leaves_decreases_the_measure():
         before = foreduce.measure(s, q, foreduce.fo_solution(s, q))
         after = foreduce.measure(s, kid, foreduce.fo_solution(s, kid))
         assert foreduce.measure_less(after, before), (q, i)
-        stepped += 1
-    assert stepped > 200
+        stepped[rule] += 1
+    assert sum(stepped.values()) > 200 and stepped["fresh"] > 100, stepped
 
 
 def test_a_deep_skeleton_is_built_without_recursion(sig):
@@ -660,3 +663,33 @@ def test_a_deep_skeleton_is_built_without_recursion(sig):
         assert len(xs) == len(ys) == 1501 and isinstance(core, Var)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_a_deep_freshness_decomposes_without_recursion(sig):
+    # 3,000 levels: the one leaf is the core's name under the 1,500
+    # binders above it, and the units beside the pairs drop out.
+    p = Problem({"a": NM, "b": NM}, (Fresh("a", _deep_term(3000)),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        (kid,) = decider._branches(sig, p, 0)
+        (leaf,) = kid.constraints
+        ys, core = schematic.abs_prefix(leaf.target)
+        assert leaf.var == "a" and ys == ("b",) * 1500 and core == Var("b")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_deep_freshness_takes_the_same_nodes_at_every_depth(sig):
+    # One step takes `fresh a T` to its leaf, whatever T's depth, and the
+    # unrelated equations take the same steps beside it.
+    def nodes(depth):
+        env = {"a": NM, "b": NM}
+        cs = [Fresh("a", _deep_term(depth))]
+        for i in range(20):
+            env[f"c{i}"] = env[f"e{i}"] = NM
+            cs.append(Eq(SApp("V", Var(f"c{i}")), SApp("V", Var(f"e{i}"))))
+        r = decide(sig, Problem(env, tuple(cs)))
+        assert r.sat
+        return r.nodes
+    assert nodes(50) == nodes(100) == nodes(200)

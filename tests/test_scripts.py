@@ -1,6 +1,7 @@
-"""The scripts under scripts/ run end to end on small inputs.
+"""The scripts under scripts/ run end to end on small inputs, and
+scripts/sweep.py on its whole fixed set (about 4 s).
 
-They read the benchmark's generators from perfbench/workloads.py
+The other two read the benchmark's generators from perfbench/workloads.py
 (`np_stream`, `eu_stream`, `np_deep` and `deep_problem`), so a name that
 moves or goes there fails here, not only when a script is next run.
 """
@@ -41,3 +42,10 @@ def test_paired_runs_on_the_deep_family():
     # It also times `import npnas.cli` once per side and pair.
     table = out.split("import npnas.cli")[1].splitlines()
     assert [line.split()[0] for line in table[2:4]] == ["parent", "change"]
+
+
+def test_sweep_finds_no_bad_witness_and_no_disagreement():
+    # Exit 0 means every witness re-checks and every verdict agrees with
+    # its oracle, over all four families (`ms` has two name sorts).
+    lines = _script("scripts/sweep.py").splitlines()
+    assert {line.split()[0] for line in lines} == {"np", "np65", "eu", "ms"}
