@@ -7,7 +7,7 @@ the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
 
 The search departs from the paper's relation (`rewrite.expand`,
-`successors`) in six ways.  Committed orientation and single-branch first
+`successors`) in seven ways.  Committed orientation and single-branch first
 rest on the paper's result that every rule's branch set preserves
 satisfiability: one reducible constraint's branches are a complete choice,
 and the search terminates under any selection once the collapse succeeds.
@@ -31,6 +31,23 @@ skipping a state reached twice.
   mentions only variables still present or stored later, so the witness
   fills the store in reverse order.  This is the triangular form of a
   unifier (Martelli and Montanari, TOPLAS 1982).
+- Solved name freshness beside the store: every solved `fresh a b` whose
+  target b is a name variable leaves the state for a per-path dict of
+  pairs (a, b), each with its tag; a pair already there keeps its tag.
+  The pairs' variables still count as occurring in the rest, so every
+  label is the one the state would get with the pairs put back.  No rule
+  applies to a pair again, and only a substitution can change one: a name
+  sort's only terms are variables, so only `eq x y` without binders
+  substitutes a name variable, x:=y.  Then just the pairs that hold x are
+  rewritten, each adding the equation's tag as a rewritten constraint
+  does.  A rewritten pair stays solved or becomes the clash `fresh y y`,
+  which goes back into the state with its tag.  So every step and label
+  is the one the state with its pairs in it would give, and every tag
+  still names levels its constraint rests on; the search only stops
+  re-reading the pairs at every node, as Chaff looks at a clause again
+  only when one of its watched variables changes (Moskewicz et al., DAC
+  2001).  The witness is checked against the pairs with the rest of the
+  solved state.
 - Least commitment and backjumping: a branching node's successors are
   tried last first, so the branch that keeps the name apart from every
   binder goes first and the binder equalities follow in the reverse of
@@ -50,12 +67,15 @@ skipping a state reached twice.
   fails too.  Backjumping only prunes the chronological search in this
   order, so it never expands more nodes than that search.
 - No repeated solved freshness: of several copies of a solved `fresh x y`
-  only the first stays in the state, with its tag.  A conjunction holds
-  with or without a repeat, a repeat labels nothing else differently, and
-  either copy's tag justifies the one kept.  Without this, the branch
-  tried first leaves each swap gadget of a chain two `fresh` constraints
-  that every later `eq x y` rewrites into copies of the same ones, and
-  every pending sibling keeps its own.
+  only the first stays, with its tag: in the state when y is a data
+  variable, and among the pairs when y is a name variable.  A conjunction
+  holds with or without a repeat, a repeat labels nothing else
+  differently, and either copy's tag justifies the one kept.  Without
+  this, the branch tried first leaves each swap gadget of a chain two
+  `fresh` constraints that every later `eq x y` rewrites into copies of
+  the same ones, and every pending sibling keeps its own.  A solved
+  `fresh x y` with y a data variable stays in place: narrowing y makes it
+  reducible again, and its position decides the selection.
 - Narrowing and decomposition to the leaves: a reducible `<xs>x = <ys>t`
   with xs non-empty maps x to t's whole constructor skeleton in one step,
   with its own fresh variable for each variable and each binder of t.  The
@@ -95,10 +115,9 @@ from .rewrite import (
     SOLVED_ASSIGN,
     SOLVED_FORMS,
     SOLVED_FRESH,
+    _f,
     _replace,
-    _split_eq,
     _subst_rest,
-    clash_kind,
     expand,
     fresh_vars,
     has_clash,
@@ -118,7 +137,6 @@ from .schematic import (
     Term,
     Valuation,
     Var,
-    abs_prefix,
     check_problem,
     instantiate,
     problem_vars,
@@ -146,10 +164,10 @@ def _branching(env: Env, c: Constraint) -> bool:
     """Whether the search gets more than one branch from reducible c: a name
     compared with a binder prefix branches on each binder of its sort."""
     if isinstance(c, Fresh):
-        ys, core = abs_prefix(c.target)
+        ys, core = c.prefix, c.core
         x = c.var
     else:
-        ys, bl, _, core = _split_eq(c)
+        ys, bl, _, core = c.split
         if not isinstance(bl, Var):
             return False
         x = bl.name
@@ -163,10 +181,10 @@ def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
     freshness carried to the leaves in one step."""
     c = q.constraints[i]
     if isinstance(c, Fresh):
-        if not isinstance(abs_prefix(c.target)[1], Var):
+        if not isinstance(c.core, Var):
             return (_replace(q, i, _fresh_leaves(c.var, c.target)),)
     elif isinstance(c, Eq):
-        xs, bl, _, br = _split_eq(c)
+        xs, bl, _, br = c.split
         if not isinstance(bl, Var) and not isinstance(br, Var):
             return (_replace(q, i, _leaves(c.lhs, c.rhs)),)
         if isinstance(bl, Var) and isinstance(br, Var):
@@ -277,14 +295,16 @@ def _narrow_to_skeleton(sig: Signature, q: Problem, i: int, x: Var,
     return _subst_rest(q, i, block, x.name, skeleton, env=new_env)
 
 
-def _shelve(q: Problem, tags: tuple[int, ...] | None = None):
-    """Move every solved `eq x t` (x isolated) out of q until none is left.
-    Returns what remains, the (x, t) pairs in the order they moved, the
-    statuses of what remains and the tags of what remains (None stays
-    None); the moved pairs drop their tags."""
+def _shelve(q: Problem, tags: tuple[int, ...] | None = None,
+            outside: frozenset[str] = frozenset()):
+    """Move every solved `eq x t` (x isolated) out of q until none is left;
+    the variables in `outside` count as occurring in the rest.  Returns
+    what remains, the (x, t) pairs in the order they moved, the statuses of
+    what remains and the tags of what remains (None stays None); the moved
+    pairs drop their tags."""
     moved: list[tuple[str, Term]] = []
-    while SOLVED_ASSIGN in (st := statuses(q)):
-        shared = shared_vars(q)
+    while SOLVED_ASSIGN in (st := statuses(q, outside)):
+        shared = shared_vars(q) | outside
         rest = []
         for c, s in zip(q.constraints, st):
             if s != SOLVED_ASSIGN:
@@ -299,25 +319,61 @@ def _shelve(q: Problem, tags: tuple[int, ...] | None = None):
     return q, tuple(moved), st, tags
 
 
-def _drop_repeats(q: Problem, st: tuple, tags: tuple[int, ...] | None):
-    """q, its statuses and its tags without the repeats of a solved
-    `fresh x y`; the first copy stays."""
-    if st.count(SOLVED_FRESH) < 2:
-        return q, st, tags
-    # A solved `fresh x y` is keyed by (x, y), any other constraint by its
-    # position.
-    keys = [(c.var, c.target.name) if s == SOLVED_FRESH else j
-            for j, (c, s) in enumerate(zip(q.constraints, st))]
-    if len(set(keys)) == len(keys):
-        return q, st, tags
-    first: dict = {}
-    for j, k in enumerate(keys):
-        first.setdefault(k, j)
+def _drop_repeats(q: Problem, st: tuple, tags: tuple[int, ...] | None,
+                  pairs: dict):
+    """q, its statuses and its tags without the solved freshness that
+    leaves the state, and the name pairs beside it.  A solved `fresh a b`
+    with b a name variable joins `pairs`, a dict (a, b) -> tag (a new dict
+    when one joins); a pair already there keeps its tag.  Of the copies of
+    a solved `fresh x y` with y a data variable only the first stays."""
+    if SOLVED_FRESH not in st:
+        return q, st, tags, pairs
+    env = q.env
     cs = q.constraints
-    keep = first.values()
-    return (Problem(q.env, tuple(cs[j] for j in keep)),
+    keep: list[int] = []
+    seen: set = set()
+    joined = None
+    for j, (c, s) in enumerate(zip(cs, st)):
+        if s == SOLVED_FRESH:
+            key = (c.var, c.core.name)
+            if isinstance(env[key[1]], NameSortT):
+                if joined is None:
+                    joined = dict(pairs)
+                joined.setdefault(key, 0 if tags is None else tags[j])
+                continue
+            if key in seen:
+                continue
+            seen.add(key)
+        keep.append(j)
+    if len(keep) == len(cs):
+        return q, st, tags, pairs
+    return (Problem(env, tuple(cs[j] for j in keep)),
             tuple(st[j] for j in keep),
-            None if tags is None else tuple(tags[j] for j in keep))
+            None if tags is None else tuple(tags[j] for j in keep),
+            pairs if joined is None else joined)
+
+
+def _rewrite_pairs(pairs: dict, x: str, y: str, tag: int):
+    """The pairs after x := y, a name variable for another: each pair that
+    holds x is rewritten and adds `tag` to its own; the first copy of a
+    pair keeps its tag.  Returns the pairs and the `fresh y y` clashes left,
+    each with its tag."""
+    out: dict = {}
+    clashes: list[tuple[Fresh, int]] = []
+    for (a, b), t in pairs.items():
+        if x == a or x == b:
+            a = y if a == x else a
+            b = y if b == x else b
+            t |= tag
+            if a == b:
+                clashes.append((_f(a, b), t))
+                continue
+        out.setdefault((a, b), t)
+    return out, clashes
+
+
+def _pair_vars(pairs: dict) -> frozenset[str]:
+    return frozenset(v for pair in pairs for v in pair)
 
 
 def _kid_tags(q: Problem, tags: tuple[int, ...], i: int, kid: Problem,
@@ -351,9 +407,9 @@ def _backjump(stack: list, conflicts: list[int], conflict: int) -> None:
     while conflict:
         h = conflict.bit_length() - 1
         conflicts[h] |= conflict
-        while stack and stack[-1][3] > h + 1:
+        while stack and stack[-1][-1] > h + 1:
             stack.pop()
-        if stack and stack[-1][3] == h + 1:
+        if stack and stack[-1][-1] == h + 1:
             del conflicts[h + 1:]
             return
         conflict = conflicts[h] ^ (1 << h)
@@ -371,28 +427,34 @@ def decide(sig: Signature, p: Problem,
 
 def _search(sig: Signature, p: Problem,
             options: SolveOptions) -> SolveResult:
-    # Entries (problem, store, tags, level): tags holds each constraint's
-    # mask of the branching levels it rests on (None until the path's first
-    # branching node), and level counts the path's branching nodes.
-    # conflicts[l] joins the conflicts of level l's failed branches.
-    stack: list[tuple] = [(p, (), None, 0)]
+    # Entries (problem, store, pairs, their variables, tags, level): pairs
+    # holds the solved name freshness set aside, tags holds each
+    # constraint's mask of the branching levels it rests on (None until the
+    # path's first branching node), and level counts the path's branching
+    # nodes.  conflicts[l] joins the conflicts of level l's failed branches.
+    stack: list[tuple] = [(p, (), {}, frozenset(), None, 0)]
     conflicts: list[int] = []
     nodes = 0
     dead_ends = 0
     while stack:
-        q, store, tags, level = stack.pop()
+        q, store, pairs, outside, tags, level = stack.pop()
         if has_clash(q):
             # A clash constraint never goes away, so no descendant of q is
             # solved; count each encounter with such a branch as a dead end.
             dead_ends += 1
             _backjump(stack, conflicts, 0 if tags is None else min(
-                t for c, t in zip(q.constraints, tags) if clash_kind(c)))
+                t for c, t in zip(q.constraints, tags) if c.clash))
             continue
-        q, moved, st, tags = _shelve(q, tags)
-        q, st, tags = _drop_repeats(q, st, tags)
+        q, moved, st, tags = _shelve(q, tags, outside)
+        q, st, tags, joined = _drop_repeats(q, st, tags, pairs)
+        if joined is not pairs:
+            pairs, outside = joined, _pair_vars(joined)
         store += moved
         idx = [i for i, s in enumerate(st) if s is None]
         if not idx:
+            if pairs:
+                q = Problem(q.env, q.constraints + tuple(
+                    _f(a, b) for a, b in pairs))
             V = extract_witness(sig, q, store)
             V = {x: V[x] for x in p.env}
             if not satisfies_all(V, p):
@@ -406,16 +468,34 @@ def _search(sig: Signature, p: Problem,
                  idx[0])
         kids = _branches(sig, q, i)
         if len(kids) == 1:
+            (kid,) = kids
+            ti = 0 if tags is None else tags[i]
             if tags is not None:
-                tags = _kid_tags(q, tags, i, kids[0], 0)
-            stack.append((kids[0], store, tags, level))
+                tags = _kid_tags(q, tags, i, kid, 0)
+            c = q.constraints[i]
+            if outside and isinstance(c, Eq):
+                # Only `eq x y` without binders substitutes a name variable:
+                # x:=y, its committed orientation.  The pairs that hold x
+                # are rewritten.
+                xs, x, _, y = c.split
+                if not xs and isinstance(x, Var) and x.name in outside \
+                        and x != y:
+                    pairs, clashes = _rewrite_pairs(pairs, x.name, y.name, ti)
+                    outside = _pair_vars(pairs)
+                    if clashes:
+                        kid = Problem(kid.env, kid.constraints + tuple(
+                            f for f, _ in clashes))
+                        if tags is not None:
+                            tags += tuple(t for _, t in clashes)
+            stack.append((kid, store, pairs, outside, tags, level))
             continue
         # Last branch first: the name kept apart from every binder.
         if tags is None:
             tags = (0,) * len(q.constraints)
         conflicts.append(0)
         own = 1 << level
-        stack.extend((kid, store, _kid_tags(q, tags, i, kid, own), level + 1)
+        stack.extend((kid, store, pairs, outside,
+                      _kid_tags(q, tags, i, kid, own), level + 1)
                      for kid in kids)
     return SolveResult(sat=False, reason="exhausted-normal-forms",
                        nodes=nodes, normal_forms=dead_ends)

@@ -8,14 +8,15 @@ equal.  `canonicalize` and `realize` convert between the two forms.
 
 All operations are pure functions, and all values are immutable by
 convention.  Each value is a slotted class whose `__init__` sets its
-fields and its facts (the free `names` of an alpha-tree node, the `vars`
-of a term or constraint); nothing assigns a field after `__init__`.  Those
-facts, and the results `memo_on_object` keeps on a value, rely on that.
-`==` and `hash` read the fields alone, never the facts.
+fields and its facts: the free `names` of an alpha-tree node, the `vars`
+of a term or constraint, and the rule facts of a constraint (an
+equation's `split`, a freshness constraint's `prefix` and `core`, and the
+`clash` shape of either).  Nothing assigns a field after `__init__`, and
+the facts rely on that.  `==` and `hash` read the fields alone, never the
+facts.
 """
 from __future__ import annotations
 
-from functools import wraps
 from typing import Mapping, Union
 
 from .errors import TypeMismatch, UndeclaredSort, Uninhabited, ValidationError
@@ -35,26 +36,6 @@ class Value:
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({args})"
-
-
-def memo_on_object(fn):
-    """Memoise a one-argument function on immutable values by storing the
-    result in the argument's own __dict__, so it lives and dies with the
-    object.  It holds the rule-level facts `rewrite._split_eq`,
-    `clash_kind` and `shared_vars`, so only `Eq`, `Fresh` and `Problem`
-    have a __dict__.  A result stays valid because nothing assigns a field
-    of a value after it is built."""
-    key = f"_memo_{fn.__module__}.{fn.__qualname__}"
-
-    @wraps(fn)
-    def wrapped(obj):
-        try:  # in a search most calls are hits, where try is cheapest
-            return obj.__dict__[key]
-        except KeyError:
-            v = obj.__dict__[key] = fn(obj)
-            return v
-
-    return wrapped
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ from __future__ import annotations
 from functools import cache
 
 from .errors import InvalidSelection, NarrowOnVariable
-from .kernel import AbsT, NameSortT, Signature, TupleT, Type, memo_on_object
+from .kernel import AbsT, NameSortT, Signature, TupleT, Type
 from .schematic import (
+    CLASH_ABS_OCCURS,
+    CLASH_CON,
+    CLASH_OCCURS,
+    CLASH_SELF_FRESH,
     Constraint,
     Env,
     Eq,
@@ -27,7 +31,6 @@ from .schematic import (
     SUnit,
     Term,
     Var,
-    abs_prefix,
     problem_vars,
     subst_constraint,
     wrap_abs,
@@ -38,10 +41,7 @@ SOLVED_FRESH = "solved-fresh"            # fresh(x, y), never reducible
 SOLVED_ASSIGN = "solved-assign"          # eq(x, t), x isolated
 SOLVED_ABS_PAIR = "solved-abs-pair"      # eq(<xs>x, <ys>y), distinct bodies
 SOLVED_ABS_SAME = "solved-abs-same"      # eq(<xs>x, <ys>x)
-CLASH_SELF_FRESH = "clash-self-fresh"    # fresh(x, x)
-CLASH_CON = "clash-con"                  # distinct constructors
-CLASH_OCCURS = "clash-occurs"            # eq(x, t), x inside t
-CLASH_ABS_OCCURS = "clash-abs-occurs"    # occurs failure under binders
+# The CLASH_* labels are each constraint's `clash`, set when it is built.
 
 SOLVED_FORMS = frozenset(
     {SOLVED_FRESH, SOLVED_ASSIGN, SOLVED_ABS_PAIR, SOLVED_ABS_SAME})
@@ -49,58 +49,28 @@ CLASH_FORMS = frozenset(
     {CLASH_SELF_FRESH, CLASH_CON, CLASH_OCCURS, CLASH_ABS_OCCURS})
 
 
-@memo_on_object
-def _split_eq(c: Eq):
-    """Cut both abstraction prefixes at the shorter length; the surplus
-    binders of the longer side fold back into its body."""
-    xs, cl = abs_prefix(c.lhs)
-    ys, cr = abs_prefix(c.rhs)
-    k = min(len(xs), len(ys))
-    bl = wrap_abs(xs[k:], cl)
-    br = wrap_abs(ys[k:], cr)
-    return xs[:k], bl, ys[:k], br
-
-
-@memo_on_object
-def clash_kind(c: Constraint) -> str | None:
-    """The clash shape of c, or None.  Clashes do not depend on the
-    environment or the other constraints, so this is a cheap pre-check:
-    a problem containing a clash constraint can never reach a solved form."""
-    if isinstance(c, Fresh):
-        t = c.target
-        self_fresh = isinstance(t, Var) and t.name == c.var
-        return CLASH_SELF_FRESH if self_fresh else None
-    xs, bl, ys, br = _split_eq(c)
-    if isinstance(bl, Var) != isinstance(br, Var):
-        x = bl if isinstance(bl, Var) else br
-        t = br if isinstance(bl, Var) else bl
-        if x.name in t.vars:
-            return CLASH_ABS_OCCURS if xs else CLASH_OCCURS
-    elif isinstance(bl, SApp) and isinstance(br, SApp) and bl.con != br.con:
-        return CLASH_CON
-    return None
-
-
 def has_clash(p: Problem) -> bool:
-    return any(map(clash_kind, p.constraints))
+    """Whether a constraint of p has a clash shape.  Clashes do not depend
+    on the environment or the other constraints, and a problem holding one
+    can never reach a solved form."""
+    return any(c.clash for c in p.constraints)
 
 
 def _classify(env: Env, c: Constraint, in_rest) -> str | None:
     """Normal-form label of c, or None when some rule still applies to it;
     in_rest tells whether a variable occurs in the other constraints."""
-    kind = clash_kind(c)
-    if kind is not None:
-        return kind
+    if c.clash is not None:
+        return c.clash
     if isinstance(c, Fresh):
-        ys, core = abs_prefix(c.target)
-        if not isinstance(core, Var) or ys:
+        core = c.core
+        if not isinstance(core, Var) or c.prefix:
             return None
         ty = env[core.name]
         if isinstance(ty, NameSortT) and ty != env[c.var]:
             return None  # different name sorts: the constraint is vacuous
         return SOLVED_FRESH
 
-    xs, bl, ys, br = _split_eq(c)
+    xs, bl, ys, br = c.split
     k = len(xs)
     if isinstance(bl, Var) and isinstance(br, Var):
         if k == 0:
@@ -182,7 +152,7 @@ def _subst_rest(p: Problem, i: int, keep: list[Constraint],
 
 def _expand_fresh(p: Problem, i: int, c: Fresh) -> tuple[Problem, ...]:
     env = p.env
-    ys, core = abs_prefix(c.target)
+    ys, core = c.prefix, c.core
     x = c.var
     if isinstance(core, SUnit):
         return (_replace(p, i, []),)
@@ -212,7 +182,7 @@ def _expand_fresh(p: Problem, i: int, c: Fresh) -> tuple[Problem, ...]:
 
 def _expand_eq(sig: Signature, p: Problem, i: int, c: Eq) -> tuple[Problem, ...]:
     env = p.env
-    xs, bl, ys, br = _split_eq(c)
+    xs, bl, ys, br = c.split
     k = len(xs)
 
     if isinstance(bl, Var) and isinstance(br, Var):
@@ -281,11 +251,9 @@ def expand(sig: Signature, p: Problem, i: int,
     return _expand_eq(sig, p, i, c)
 
 
-@memo_on_object
 def shared_vars(p: Problem) -> frozenset[str]:
     """The variables that occur in at least two of p's constraints: in the
-    rest, for any one constraint that mentions them.  They depend only on
-    the constraints, which never change, so each problem counts them once."""
+    rest, for any one constraint that mentions them."""
     seen: set[str] = set()
     shared: set[str] = set()
     for c in p.constraints:
@@ -294,11 +262,17 @@ def shared_vars(p: Problem) -> frozenset[str]:
     return frozenset(shared)
 
 
-def statuses(p: Problem) -> tuple[str | None, ...]:
-    """Normal-form labels of all constraints, computed in one pass.  Not
-    memoised on p: the labels read p.env, a mapping the caller owns."""
-    shared = shared_vars(p).__contains__
-    return tuple(_classify(p.env, c, shared) for c in p.constraints)
+def statuses(p: Problem, outside: frozenset[str] = frozenset()
+             ) -> tuple[str | None, ...]:
+    """Normal-form labels of all constraints, computed in one pass.  The
+    variables in `outside` count as occurring in the rest of p, as those of
+    constraints the caller keeps beside p do."""
+    shared = shared_vars(p)
+    if outside:
+        shared = shared | outside
+    env = p.env
+    in_rest = shared.__contains__
+    return tuple(_classify(env, c, in_rest) for c in p.constraints)
 
 
 def successors(sig: Signature, p: Problem,

@@ -169,17 +169,46 @@ def wrap_abs(binders: tuple[str, ...], core: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Constraints and problems (these have a __dict__, for the facts
-# `memo_on_object` keeps on them, and take weak references)
+# Constraints and problems.  A constraint also carries the facts the rules
+# read: an equation's `split`, a freshness constraint's `prefix` and `core`,
+# and the `clash` shape of either.  Constraints and problems take weak
+# references.
+
+# Clash labels: a constraint of one of these shapes has no solution.
+CLASH_SELF_FRESH = "clash-self-fresh"    # fresh(x, x)
+CLASH_CON = "clash-con"                  # distinct constructors
+CLASH_OCCURS = "clash-occurs"            # eq(x, t), x inside t
+CLASH_ABS_OCCURS = "clash-abs-occurs"    # occurs failure under binders
+
 
 class Eq(Value):
+    """`split` is (xs, bl, ys, br): both abstraction prefixes cut at the
+    shorter length, so the surplus binders of the longer side stay on its
+    body."""
     _fields = ("lhs", "rhs")
-    __slots__ = _fields + ("vars", "__dict__", "__weakref__")
+    __slots__ = _fields + ("vars", "split", "clash", "__weakref__")
 
     def __init__(self, lhs: Term, rhs: Term):
         self.lhs = lhs
         self.rhs = rhs
         self.vars = lhs.vars | rhs.vars
+        xs = ys = ()
+        if lhs.__class__ is SAbs and rhs.__class__ is SAbs:
+            xs, ys = [], []
+            while lhs.__class__ is SAbs and rhs.__class__ is SAbs:
+                xs.append(lhs.binder)
+                ys.append(rhs.binder)
+                lhs, rhs = lhs.body, rhs.body
+            xs, ys = tuple(xs), tuple(ys)
+        self.split = xs, lhs, ys, rhs
+        self.clash = None
+        if isinstance(lhs, Var) != isinstance(rhs, Var):
+            x, t = (lhs, rhs) if isinstance(lhs, Var) else (rhs, lhs)
+            if x.name in t.vars:
+                self.clash = CLASH_ABS_OCCURS if xs else CLASH_OCCURS
+        elif (isinstance(lhs, SApp) and isinstance(rhs, SApp)
+              and lhs.con != rhs.con):
+            self.clash = CLASH_CON
 
     def __eq__(self, other):
         if self is other:
@@ -196,14 +225,20 @@ class Eq(Value):
 
 
 class Fresh(Value):
-    """The value of var (a name) must not occur free in the target's value."""
+    """The value of var (a name) must not occur free in the target's value.
+    `prefix` and `core` are `abs_prefix(target)`."""
     _fields = ("var", "target")
-    __slots__ = _fields + ("vars", "__dict__", "__weakref__")
+    __slots__ = _fields + ("vars", "prefix", "core", "clash", "__weakref__")
 
     def __init__(self, var: str, target: Term):
         self.var = var
         self.target = target
         self.vars = target.vars | {var}
+        self.prefix, self.core = (abs_prefix(target)
+                                  if target.__class__ is SAbs else ((), target))
+        self.clash = (CLASH_SELF_FRESH
+                      if isinstance(target, Var) and target.name == var
+                      else None)
 
     def __eq__(self, other):
         if self is other:
@@ -227,7 +262,7 @@ Env = Mapping[str, Type]
 
 class Problem(Value):
     _fields = ("env", "constraints")
-    __slots__ = _fields + ("__dict__", "__weakref__")
+    __slots__ = _fields + ("__weakref__",)
 
     def __init__(self, env: Mapping[str, Type],
                  constraints: tuple[Constraint, ...]):
@@ -319,7 +354,7 @@ def subst_term(t: Term, x: str, r: Term) -> Term:
 
     Binder positions only accept variables, so substituting a compound term
     for a variable that occurs as a binder is rejected.  Subterms without x
-    are returned themselves, so they keep their facts and memos.
+    are returned themselves, so they keep their facts.
     """
     if x not in t.vars:
         return t
@@ -442,28 +477,3 @@ def atree_size(a: AlphaTree) -> int:
         return 2 + go(node.body)
 
     return go(a.node)
-
-
-def term_size(env: Env, W: Valuation, t: Term) -> int:
-    """Term size relative to a valuation: variables of name sort count 1,
-    any other variable counts the size of its value under W."""
-    if isinstance(t, Var):
-        ty = env.get(t.name)
-        if isinstance(ty, NameSortT):
-            return 1
-        if t.name not in W:
-            raise MissingVariable(f"valuation lacks {t.name}")
-        return atree_size(W[t.name])
-    if isinstance(t, SUnit):
-        return 1
-    if isinstance(t, STuple):
-        return 1 + sum(term_size(env, W, item) for item in t.items)
-    if isinstance(t, SApp):
-        return 1 + term_size(env, W, t.arg)
-    return 2 + term_size(env, W, t.body)
-
-
-def constraint_size(env: Env, W: Valuation, c: Constraint) -> int:
-    if isinstance(c, Eq):
-        return term_size(env, W, c.lhs) + term_size(env, W, c.rhs)
-    return term_size(env, W, c.target)

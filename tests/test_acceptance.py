@@ -8,7 +8,7 @@ import time
 
 from npnas.decider import decide
 from npnas.eubridge import EU_SIGNATURE, eu_brute_sat, translate_eu
-from npnas.foreduce import fo_sat, fo_solution, measure, measure_less
+from npnas.foreduce import fo_sat
 from npnas.kernel import NameSortT, Name, canonicalize, make_signature
 from npnas.cli import parse_eu, parse_problem
 from npnas.oracle import (
@@ -26,6 +26,7 @@ from npnas.schematic import (
 
 from conftest import random_gtree
 from ground_ref import alpha_eq, perm_apply, swap, tree_size
+from termination_ref import fo_solution, measure, measure_less
 
 
 def report(n: int):

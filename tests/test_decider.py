@@ -21,6 +21,8 @@ from npnas.rewrite import (
 from npnas.schematic import (
     Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var, satisfies_all)
 
+from termination_ref import fo_solution, measure, measure_less
+
 NM = NameSortT("nm")
 TM = DataSortT("tm")
 
@@ -192,8 +194,8 @@ def test_shared_values_avoid_the_name_pool(sig):
 # Search state
 
 def test_search_keeps_no_input_alive(sig):
-    # Memoised facts live on the constraints themselves, so once the caller
-    # drops the problem and the result nothing else holds its constraints.
+    # The search caches nothing beyond a call: once the caller drops the
+    # problem and the result, nothing else holds its constraints.
     c = Eq(Var("x"), SApp("V", Var("a")))
     p = Problem({"a": NM, "b": NM, "x": TM}, (c, Fresh("a", Var("b"))))
     ref = weakref.ref(c)
@@ -234,8 +236,8 @@ def test_solved_equations_leave_the_search_state(sig, monkeypatch):
         expanded.append(q)
         return branches(s, q, i)
 
-    def record_moves(q, tags=None):
-        out = shelve(q, tags)
+    def record_moves(*args):
+        out = shelve(*args)
         moves.append(len(out[1]))
         return out
 
@@ -447,7 +449,7 @@ def _substitution(q, i, kid):
     c = q.constraints[i]
     if isinstance(c, Fresh):
         return None
-    xs, bl, _, br = rewrite._split_eq(c)
+    xs, bl, _, br = c.split
     if isinstance(bl, Var) and isinstance(br, Var):
         # Only `eq x y` without binders substitutes: x:=y, its committed
         # orientation.
@@ -485,6 +487,81 @@ def test_every_successor_replaces_one_constraint_by_a_block():
 
 
 # ---------------------------------------------------------------------------
+# Solved name freshness beside the state
+
+def test_a_renamed_pair_that_becomes_self_freshness_is_a_dead_end(sig):
+    # `fresh a b` leaves the state as a pair; `eq a b` substitutes a:=b,
+    # which takes the pair to the clash `fresh b b`, whichever comes first.
+    env = {"a": NM, "b": NM}
+    for cs in ((Fresh("a", Var("b")), Eq(Var("a"), Var("b"))),
+               (Eq(Var("a"), Var("b")), Fresh("a", Var("b")))):
+        r = decide(sig, Problem(env, cs))
+        assert not r.sat and r.nodes == 1 and r.normal_forms == 1
+
+
+def _record_pairs(monkeypatch):
+    """Record, at every state the search labels, the state and its labels
+    as `_shelve` left them, the pairs beside it and the pairs after it."""
+    seen = []
+    drop = decider._drop_repeats
+
+    def record(q, st, tags, pairs):
+        out = drop(q, st, tags, pairs)
+        seen.append((q, st, pairs, out[3]))
+        return out
+
+    monkeypatch.setattr(decider, "_drop_repeats", record)
+    return seen
+
+
+def test_pairs_label_the_state_as_if_put_back(monkeypatch):
+    # The pairs' variables count as occurring in the rest, so each state is
+    # labelled as it would be with its pairs put back as `fresh` constraints,
+    # which are solved there.  Only pairs of name variables leave.
+    seen = _record_pairs(monkeypatch)
+    beside = 0
+    for s, p in itertools.chain(_sampled_states(), _instances()):
+        decide(s, p)
+        for q, st, pairs, _ in seen:
+            if not pairs:
+                continue
+            n = len(q.constraints)
+            back = Problem(q.env, q.constraints + tuple(
+                Fresh(a, Var(b)) for a, b in pairs))
+            labels = statuses(back)
+            assert st == labels[:n] == statuses(q, frozenset(
+                v for pair in pairs for v in pair)), (q, pairs)
+            assert set(labels[n:]) == {rewrite.SOLVED_FRESH}, (q, pairs)
+            assert all(isinstance(q.env[b], NameSortT) for _, b in pairs)
+            beside += 1
+        seen.clear()
+    assert beside > 1000, beside
+
+
+def test_every_sat_witness_satisfies_every_pair(monkeypatch):
+    seen = _record_pairs(monkeypatch)
+    witnesses = []
+    extract = decider.extract_witness
+
+    def record(sig, q, store=()):
+        witnesses.append(extract(sig, q, store))
+        return witnesses[-1]
+
+    monkeypatch.setattr(decider, "extract_witness", record)
+    checked = 0
+    for s, p in _instances():
+        if decide(s, p).sat:
+            (V,) = witnesses
+            # The solved state is the last one labelled.
+            for a, b in seen[-1][3]:
+                assert schematic.satisfies(V, Fresh(a, Var(b))), (p, a, b)
+                checked += 1
+        seen.clear()
+        witnesses.clear()
+    assert checked > 100, checked
+
+
+# ---------------------------------------------------------------------------
 # Narrowing and decomposition to the leaves in one step
 
 def _fused_rule(q, j, st):
@@ -496,7 +573,7 @@ def _fused_rule(q, j, st):
     if isinstance(c, Fresh):
         _, core = schematic.abs_prefix(c.target)
         return ("fresh" if not isinstance(core, Var) else None), None
-    xs, bl, _, br = rewrite._split_eq(c)
+    xs, bl, _, br = c.split
     if not isinstance(bl, Var) and not isinstance(br, Var):
         return "decompose", None
     if isinstance(bl, Var) != isinstance(br, Var) and xs:
@@ -635,9 +712,9 @@ def test_one_step_to_the_leaves_decreases_the_measure():
             continue
         (kid,) = decider._branches(s, q, i)
         assert foreduce.fo_sat(s, kid), (q, i)
-        before = foreduce.measure(s, q, foreduce.fo_solution(s, q))
-        after = foreduce.measure(s, kid, foreduce.fo_solution(s, kid))
-        assert foreduce.measure_less(after, before), (q, i)
+        before = measure(s, q, fo_solution(s, q))
+        after = measure(s, kid, fo_solution(s, kid))
+        assert measure_less(after, before), (q, i)
         stepped[rule] += 1
     assert sum(stepped.values()) > 200 and stepped["fresh"] > 100, stepped
 

@@ -6,12 +6,7 @@ from npnas.foreduce import (
     fl_term,
     fl_type,
     fo_sat,
-    fo_solution,
     fo_unify,
-    measure,
-    measure_less,
-    multiset_less,
-    occurrences,
 )
 from npnas.kernel import AbsT, DataSortT, NameSortT, TupleT, UNIT_T
 from npnas.oracle import random_problem
@@ -28,6 +23,9 @@ from npnas.schematic import (
     satisfies_all,
 )
 from collections import Counter
+
+from termination_ref import (
+    fo_solution, measure, measure_less, multiset_less, occurrences)
 
 NM = NameSortT("nm")
 TM = DataSortT("tm")

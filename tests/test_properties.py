@@ -27,7 +27,8 @@ from npnas.oracle import (
     random_eu_problem, random_problem, random_term, random_type,
     small_signature)
 from npnas.schematic import (
-    Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, SUnit, Var, satisfies_all,
+    CLASH_ABS_OCCURS, CLASH_CON, CLASH_OCCURS, CLASH_SELF_FRESH, Eq, Fresh,
+    Problem, SAbs, SApp, STuple, SUNIT, SUnit, Var, satisfies_all,
     subst_term)
 
 from ground_ref import IDENTITY, alpha_eq, free_names, perm_apply, swap
@@ -116,6 +117,43 @@ def test_vars_are_the_reference_walk(seed):
     assert Fresh("a", rhs).vars == reference_vars(rhs) | {"a"}
 
 
+def reference_prefix(t) -> tuple:
+    """t's whole abstraction prefix and the body under it."""
+    binders = []
+    while isinstance(t, SAbs):
+        binders.append(t.binder)
+        t = t.body
+    return tuple(binders), t
+
+
+def reference_split(c: Eq) -> tuple:
+    """An equation's split by the walk that once computed it: both whole
+    prefixes are read off and cut at the shorter length, and the surplus
+    binders are wrapped back around their body."""
+    (xs, cl), (ys, cr) = reference_prefix(c.lhs), reference_prefix(c.rhs)
+    k = min(len(xs), len(ys))
+    for b in reversed(xs[k:]):
+        cl = SAbs(b, cl)
+    for b in reversed(ys[k:]):
+        cr = SAbs(b, cr)
+    return xs[:k], cl, ys[:k], cr
+
+
+def reference_clash(c) -> str | None:
+    """The clash shape of c, read from its reference split."""
+    if isinstance(c, Fresh):
+        return CLASH_SELF_FRESH if c.target == Var(c.var) else None
+    xs, bl, _, br = reference_split(c)
+    if isinstance(bl, Var) != isinstance(br, Var):
+        x, t = (bl, br) if isinstance(bl, Var) else (br, bl)
+        if x.name in reference_vars(t):
+            return CLASH_ABS_OCCURS if xs else CLASH_OCCURS
+    elif (isinstance(bl, SApp) and isinstance(br, SApp)
+          and bl.con != br.con):
+        return CLASH_CON
+    return None
+
+
 def reference_names(node) -> frozenset[Name]:
     """The free names of an alpha-tree node by a recursive walk."""
     if isinstance(node, Name):
@@ -161,7 +199,8 @@ def test_values_keep_the_value_contract(seed, g):
     ty = random_type(rng)
     lhs, rhs = (random_term(rng, sig, _VARS_ENV, ty, depth=4)
                 for _ in range(2))
-    p = Problem(dict(_VARS_ENV), (Eq(lhs, rhs), Fresh("a", rhs)))
+    p = Problem(dict(_VARS_ENV), (Eq(lhs, rhs), Eq(rhs, lhs),
+                                  Fresh("a", lhs), Fresh("a", rhs)))
     for v in [*_walk(ty), *_walk(p), *_walk(canonicalize(g)), *_walk(g)]:
         cls = type(v)
         # A copy rebuilt from the fields by keyword is the same value.
@@ -184,14 +223,20 @@ def test_values_keep_the_value_contract(seed, g):
         # The facts set in __init__ are the reference walks.
         if isinstance(v, Eq):
             assert v.vars == reference_vars(v.lhs) | reference_vars(v.rhs)
+            assert v.split == reference_split(v)
         elif isinstance(v, Fresh):
             assert v.vars == reference_vars(v.target) | {v.var}
+            assert (v.prefix, v.core) == reference_prefix(v.target)
+        if isinstance(v, (Eq, Fresh)):
+            assert v.clash == reference_clash(v)
         elif hasattr(v, "vars"):
             assert v.vars == reference_vars(v)
         if hasattr(v, "names"):
             assert v.names == reference_names(v)
-        # Only the values memo_on_object writes to have a __dict__.
-        assert hasattr(v, "__dict__") == isinstance(v, (Eq, Fresh, Problem))
+        # No value has a __dict__; constraints and problems take weak
+        # references.
+        assert not hasattr(v, "__dict__")
+        assert hasattr(v, "__weakref__") == isinstance(v, (Eq, Fresh, Problem))
     assert NameSortT("nm") != DataSortT("nm")
     assert SApp("L", lhs) != SAbs("L", lhs)
     copy = Signature(**_fields(sig))

@@ -41,20 +41,19 @@ from npnas.schematic import (
     Var,
     atree_size,
     check_problem,
-    constraint_size,
     infer_type,
     instantiate,
     satisfies,
     satisfies_all,
     subst_constraint,
     subst_term,
-    term_size,
     wrap_abs,
 )
 from npnas.oracle import small_signature
 
 from conftest import random_gtree
 from ground_ref import tree_size
+from termination_ref import constraint_size, term_size
 
 NM = NameSortT("nm")
 TM = DataSortT("tm")

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end on small inputs, and
-scripts/sweep.py on its whole fixed set (about 4 s).
+scripts/sweep.py on its whole fixed set (about 4 s), with its node totals
+pinned.
 
 The other two read the benchmark's generators from perfbench/workloads.py
 (`np_stream`, `eu_stream`, `np_deep` and `deep_problem`), so a name that
@@ -15,12 +16,16 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _script(*argv: str) -> str:
+def _run(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
-    return done.stdout
+    return done
+
+
+def _script(*argv: str) -> str:
+    return _run(*argv).stdout
 
 
 @pytest.mark.parametrize("argv, checked", [
@@ -47,5 +52,12 @@ def test_paired_runs_on_the_deep_family():
 def test_sweep_finds_no_bad_witness_and_no_disagreement():
     # Exit 0 means every witness re-checks and every verdict agrees with
     # its oracle, over all four families (`ms` has two name sorts).
-    lines = _script("scripts/sweep.py").splitlines()
+    done = _run("scripts/sweep.py")
+    lines = done.stdout.splitlines()
     assert {line.split()[0] for line in lines} == {"np", "np65", "eu", "ms"}
+    # The node totals are pinned, so a change to the search order fails
+    # here; a change that lowers one updates its pin.
+    totals = [line for line in done.stderr.splitlines()
+              if line.startswith("nodes ")]
+    assert totals == ["nodes np: 1438", "nodes np65: 1608",
+                      "nodes eu: 6513", "nodes ms: 367"]
