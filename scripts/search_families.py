@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Verdict, nodes and seconds of the focused search on three families with
+"""Verdict, nodes and seconds of the focused search on four families with
 a size parameter n, one line per instance, then the totals.
 
     PYTHONPATH=src python scripts/search_families.py eu N [--seed S] [--count C]
     PYTHONPATH=src python scripts/search_families.py pigeonhole N
     PYTHONPATH=src python scripts/search_families.py deep N [--seed S] [--count C]
+    PYTHONPATH=src python scripts/search_families.py sat N [--seed S] [--count C] [--ratio R]
 
 eu: C scaled equivariant unification problems (default 20) drawn from
 `random.Random(S)` (default S = N), translated by `translate_eu`.  Each has
@@ -19,7 +20,18 @@ pigeonhole: N pairwise-fresh names a_i, each with
 `(eq <b_1..b_k>a_i <e_i1..e_ik>d_i)` and `(fresh a_i d_i)`, k = N - 1.  The
 equation puts a_i at the binder of some b_j, and the freshness forbids it
 to stay free, so N names would need N distinct binders out of N - 1: every
-instance is unsat.
+instance is unsat.  This pair of constraints is the membership gadget:
+it holds iff a_i equals one of the b_j.
+
+sat: C random 3-SAT formulas (default 10) drawn from `random.Random(S)`
+(default S = N), each with N variables and round(R * N) clauses (default
+R = 4.26, where random 3-SAT is hardest) of three distinct variables,
+each negated with probability 1/2.  They are encoded through the
+membership gadget over names T and F with `(fresh T F)`: variable i has
+names p_i and n_i, each a member of (T, F), with `(fresh p_i n_i)`, so
+x_i is true iff p_i = T; each clause makes T a member of its literals'
+names, p_i for x_i and n_i for not x_i.  The problem is satisfiable iff
+the formula is.
 
 deep: C problems of the benchmark's np-deep workload (default 10): instance
 i is `deep_problem(F, N, f"{S}/{i}")` from perfbench/workloads.py (default
@@ -34,13 +46,14 @@ Each eu and pigeonhole line shows the oracle's verdict: `eu_brute_sat` for
 eu, and for pigeonhole `relation_sat`, a search over the paper's own
 relation without the decider's shortcuts; `-` when its pool or node budget
 is too small or it runs past ORACLE_SECONDS.  Each deep line shows the
-planted verdict instead.  The columns are the instance, the verdict, the
-nodes, the seconds of `decide` and the seconds of those spent in
-`decider.extract_witness`.
+planted verdict instead, and each sat line the verdict of a DPLL on the
+formula, which reaches sizes no brute-force oracle does.  The columns are
+the instance, the verdict, the nodes, the seconds of `decide` and the
+seconds of those spent in `decider.extract_witness`.
 
 A solve that expands more than BUDGET nodes prints `budget` and is left
 out of the node total.  The exit code is 1 when a verdict disagrees with
-an oracle or with the planted answer.  Standard library only.
+an oracle, the planted answer or the DPLL.  Standard library only.
 """
 import argparse
 import os
@@ -91,20 +104,67 @@ def scaled_eu(rng: random.Random, n: int) -> EUProblem:
     return EUProblem(names, name_vars, perm_vars, cs)
 
 
+def member(env: dict, x: str, bs: list[str], g) -> tuple:
+    """The membership gadget `(eq <bs>x <es>d)`, `(fresh x d)`, which holds
+    iff x equals one of the binders bs; es and d are its own names e{g}_j
+    and d{g}.  Declares every name it mentions in env."""
+    es = [f"e{g}_{j}" for j in range(len(bs))]
+    env.update((v, NameSortT("nm")) for v in (x, f"d{g}", *bs, *es))
+    lhs, rhs = Var(x), Var(f"d{g}")
+    for b, e in zip(reversed(bs), reversed(es)):
+        lhs, rhs = SAbs(b, lhs), SAbs(e, rhs)
+    return Eq(lhs, rhs), Fresh(x, Var(f"d{g}"))
+
+
 def pigeonhole(n: int) -> Problem:
-    k = n - 1
-    bs = [f"b{j}" for j in range(k)]
-    env = {x: NameSortT("nm") for x in bs}
+    bs = [f"b{j}" for j in range(n - 1)]
+    env: dict = {}
     cs: list = []
     for i in range(n):
-        es = [f"e{i}_{j}" for j in range(k)]
-        env.update((x, NameSortT("nm")) for x in (f"a{i}", f"d{i}", *es))
-        lhs, rhs = Var(f"a{i}"), Var(f"d{i}")
-        for b, e in zip(reversed(bs), reversed(es)):
-            lhs, rhs = SAbs(b, lhs), SAbs(e, rhs)
-        cs += (Eq(lhs, rhs), Fresh(f"a{i}", Var(f"d{i}")))
+        cs += member(env, f"a{i}", bs, i)
     cs += (Fresh(f"a{i}", Var(f"a{j}")) for i in range(n) for j in range(i))
     return Problem(env, tuple(cs))
+
+
+def random_3sat(rng: random.Random, n: int,
+                ratio: float) -> list[tuple[int, ...]]:
+    """round(ratio * n) clauses over variables 1..n; literal -v is not v."""
+    return [tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(round(ratio * n))]
+
+
+def sat_problem(n: int, clauses: list[tuple[int, ...]]) -> Problem:
+    env: dict = {}
+    cs: list = [Fresh("T", Var("F"))]
+    for i in range(1, n + 1):
+        cs += member(env, f"p{i}", ["T", "F"], f"p{i}")
+        cs += member(env, f"n{i}", ["T", "F"], f"n{i}")
+        cs.append(Fresh(f"p{i}", Var(f"n{i}")))
+    for k, clause in enumerate(clauses):
+        names = [f"p{v}" if v > 0 else f"n{-v}" for v in clause]
+        cs += member(env, "T", names, f"c{k}")
+    return Problem(env, tuple(cs))
+
+
+def dpll(clauses: list[tuple[int, ...]]) -> bool:
+    """Whether the CNF formula is satisfiable: unit propagation, then a
+    split on the first literal left."""
+    while True:
+        if not clauses:
+            return True
+        if () in clauses:
+            return False
+        unit = next((c[0] for c in clauses if len(c) == 1), None)
+        if unit is None:
+            break
+        clauses = _assign(clauses, unit)
+    lit = clauses[0][0]
+    return dpll(_assign(clauses, lit)) or dpll(_assign(clauses, -lit))
+
+
+def _assign(clauses: list[tuple[int, ...]], lit: int) -> list:
+    return [tuple(x for x in c if x != -lit) for c in clauses if lit not in c]
 
 
 class _OutOfTime(Exception):
@@ -132,29 +192,42 @@ def oracle(sig, p: Problem, ep: EUProblem | None):
 def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    ap.add_argument("family", choices=("eu", "pigeonhole", "deep"))
+    ap.add_argument("family", choices=("eu", "pigeonhole", "deep", "sat"))
     ap.add_argument("n", type=int)
-    ap.add_argument("--seed", type=int, help="eu and deep only; default N")
+    ap.add_argument("--seed", type=int,
+                    help="eu, deep and sat only; default N")
     ap.add_argument("--count", type=int,
-                    help="eu and deep only; default 20 for eu, 10 for deep")
+                    help="eu, deep and sat only; default 20 for eu, 10 for "
+                         "deep and sat")
+    ap.add_argument("--ratio", type=float, default=4.26,
+                    help="sat only: clauses per variable; default 4.26")
     args = ap.parse_args()
+    if args.family == "sat" and args.n < 3:
+        ap.error("sat needs N >= 3: each clause has three distinct variables")
 
-    # Cases (signature, problem, .eu problem or None, planted verdict or None).
+    # Cases (signature, problem, .eu problem or None, known verdict or None:
+    # planted, or the DPLL's).
     seed = args.n if args.seed is None else args.seed
     if args.family == "eu":
         rng = random.Random(seed)
         eps = [scaled_eu(rng, args.n) for _ in range(args.count or 20)]
         return solve_all([(EU_SIGNATURE, translate_eu(ep), ep, None)
-                          for ep in eps], True)
+                          for ep in eps], "oracle")
     if args.family == "pigeonhole":
-        return solve_all([(NAME, pigeonhole(args.n), None, False)], True)
+        return solve_all([(NAME, pigeonhole(args.n), None, False)], "oracle")
+    if args.family == "sat":
+        rng = random.Random(seed)
+        fs = [random_3sat(rng, args.n, args.ratio)
+              for _ in range(args.count or 10)]
+        return solve_all([(NAME, sat_problem(args.n, f), None, dpll(f))
+                          for f in fs], "dpll")
 
     def deep_family() -> int:
         sig = small_signature()
         return solve_all([
             (sig, deep_problem("buried" if i % 2 else "sat", args.n,
                                f"{seed}/{i}")[0], None, i % 2 == 0)
-            for i in range(args.count or 10)], False)
+            for i in range(args.count or 10)], "planted")
 
     return run_in_big_stack(deep_family)
 
@@ -203,11 +276,13 @@ def timed_decide(sig, p: Problem):
     return r, time.perf_counter() - t0, spent[0]
 
 
-def solve_all(cases, ask_oracle: bool) -> int:
-    """Solve and print every case; 1 when a verdict is wrong, else 0."""
+def solve_all(cases, check: str) -> int:
+    """Solve and print every case, each beside the oracle's verdict when
+    check is "oracle" and else beside its known one, labelled check; 1 when
+    a verdict disagrees with either, else 0."""
     wrong = nodes = over = 0
     seconds = witness = 0.0
-    for i, (sig, p, ep, planted) in enumerate(cases):
+    for i, (sig, p, ep, known) in enumerate(cases):
         r, dt, wt = timed_decide(sig, p)
         seconds += dt
         witness += wt
@@ -217,13 +292,13 @@ def solve_all(cases, ask_oracle: bool) -> int:
             continue
         nodes += r.nodes
         line = f"{i} {VERDICT[r.sat]} {r.nodes} {dt:.3f} {wt:.3f} "
-        if ask_oracle:
+        if check == "oracle":
             expected = oracle(sig, p, ep)
             line += f"oracle={VERDICT[expected]}"
         else:
             expected = None
-            line += f"planted={VERDICT[planted]}"
-        if expected not in (None, r.sat) or planted not in (None, r.sat):
+            line += f"{check}={VERDICT[known]}"
+        if expected not in (None, r.sat) or known not in (None, r.sat):
             wrong += 1
             line += " WRONG"
         print(line, flush=True)

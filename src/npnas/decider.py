@@ -7,7 +7,7 @@ the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
 
 The search departs from the paper's relation (`rewrite.expand`,
-`successors`) in seven ways.  Committed orientation and single-branch first
+`successors`) in eight ways.  Committed orientation and single-branch first
 rest on the paper's result that every rule's branch set preserves
 satisfiability: one reducible constraint's branches are a complete choice,
 and the search terminates under any selection once the collapse succeeds.
@@ -66,6 +66,15 @@ skipping a state reached twice.
   every sibling below the highest level in S keeps those choices, so it
   fails too.  Backjumping only prunes the chronological search in this
   order, so it never expands more nodes than that search.
+- Forward checking: a branch whose block holds `eq a b` between variables
+  while the pairs hold `fresh a b` or `fresh b a` is not pushed (Haralick
+  and Elliott, AIJ 1980).  It counts as a dead end, its conflict (the
+  smallest such pair tag | tag(i) | own) joins the node's, and a node whose
+  branches all go so fails at once.  This is sound: the branch with the
+  pair entails `eq a b` and `fresh a b`, which no valuation meets; those
+  rest on the levels in pair tag | tag(i) | own, so that set is a valid
+  conflict, and backjumping stays sound with any valid conflict.  A block
+  holding a clash is pushed as before, so no pair tag widens its conflict.
 - No repeated solved freshness: of several copies of a solved `fresh x y`
   only the first stays, with its tag: in the state when y is a data
   variable, and among the pairs when y is a name variable.  A conjunction
@@ -156,7 +165,8 @@ class SolveResult:
     reason: str | None = None     # "fo-reduction" | "exhausted-normal-forms"
     witness: Valuation | None = None
     nodes: int = 0                # problems whose successors were computed
-    normal_forms: int = 0         # terminal problems encountered; the
+    normal_forms: int = 0         # terminal problems encountered, and
+                                  # branches forward checking skips; the
                                   # siblings backjumping skips are not
 
 
@@ -376,6 +386,24 @@ def _pair_vars(pairs: dict) -> frozenset[str]:
     return frozenset(v for pair in pairs for v in pair)
 
 
+def _pair_conflict(block: tuple[Constraint, ...], pairs: dict,
+                   base: int) -> int | None:
+    """The smallest `tag | base` of a pair `fresh a b` or `fresh b a` that
+    an `eq a b` of `block` contradicts; None when there is none or the
+    block holds a clash."""
+    conflict = None
+    for c in block:
+        if c.clash:
+            return None
+        if isinstance(c, Eq) and isinstance(c.lhs, Var) \
+                and isinstance(c.rhs, Var):
+            a, b = c.lhs.name, c.rhs.name
+            for t in (pairs.get((a, b)), pairs.get((b, a))):
+                if t is not None and (conflict is None or t | base < conflict):
+                    conflict = t | base
+    return conflict
+
+
 def _kid_tags(q: Problem, tags: tuple[int, ...], i: int, kid: Problem,
               own: int) -> tuple[int, ...]:
     """The tags of a successor of q for constraint i: q's constraints with
@@ -494,9 +522,20 @@ def _search(sig: Signature, p: Problem,
             tags = (0,) * len(q.constraints)
         conflicts.append(0)
         own = 1 << level
-        stack.extend((kid, store, pairs, outside,
-                      _kid_tags(q, tags, i, kid, own), level + 1)
-                     for kid in kids)
+        base = tags[i] | own
+        rest = len(q.constraints) - i - 1  # q's constraints after i
+        pushed = len(stack)
+        for kid in kids:
+            conflict = None if not pairs else _pair_conflict(
+                kid.constraints[i:len(kid.constraints) - rest], pairs, base)
+            if conflict is None:
+                stack.append((kid, store, pairs, outside,
+                              _kid_tags(q, tags, i, kid, own), level + 1))
+            else:
+                dead_ends += 1
+                conflicts[level] |= conflict
+        if len(stack) == pushed:
+            _backjump(stack, conflicts, conflicts[level])
     return SolveResult(sat=False, reason="exhausted-normal-forms",
                        nodes=nodes, normal_forms=dead_ends)
 

@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import itertools
 import random
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from npnas import decider, foreduce, kernel, oracle, rewrite, schematic
-from npnas.cli import parse_eu
+from npnas.cli import parse_eu, parse_problem
 from npnas.decider import SolveOptions, decide, extract_witness
 from npnas.errors import (
     BudgetExhausted, IllFormedProblem, NotSolved)
@@ -436,8 +437,11 @@ def test_a_refuted_branching_node_skips_the_siblings_above_it(sig):
                       Fresh("b", SAbs("c", Var("a"))),
                       Fresh("d", SAbs("e", Var("d"))),
                       Fresh("d", Var("e"))))
+    # The third node's branch d = e, which the pair `fresh d e` refutes, is
+    # not built (4 nodes without forward checking, which the chronological
+    # helper does not do).
     r = decide(sig, p)
-    assert not r.sat and r.nodes == 4
+    assert not r.sat and r.nodes == 3
     assert _chronological(sig, p) == (False, 11)
     res = brute_sat(sig, p, pool=5)
     assert res.exact and not res.sat
@@ -559,6 +563,73 @@ def test_every_sat_witness_satisfies_every_pair(monkeypatch):
         seen.clear()
         witnesses.clear()
     assert checked > 100, checked
+
+
+# ---------------------------------------------------------------------------
+# Forward checking
+
+def _search_families():
+    path = Path(__file__).parent.parent / "scripts" / "search_families.py"
+    spec = importlib.util.spec_from_file_location("search_families", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_binder_choice_refuted_by_a_pair_is_not_built():
+    # `fresh x y` is a pair before the swap pair branches, and both of the
+    # swap pair's branches equate x and y, so the branching node fails at
+    # once with two dead ends: 3 nodes without the check.
+    path = Path(__file__).parent.parent / "problems" / "swap-pair-fresh.np"
+    r = decide(*parse_problem(path.read_text()))
+    assert not r.sat and r.nodes == 1 and r.normal_forms == 2
+
+
+@pytest.mark.parametrize("n, nodes", [(3, 9), (4, 31), (5, 129)])
+def test_pigeonhole_takes_fewer_nodes(n, nodes):
+    # 20, 80 and 390 nodes without forward checking.
+    families = _search_families()
+    r = decide(families.NAME, families.pigeonhole(n))
+    assert not r.sat and r.nodes == nodes
+
+
+def test_every_skipped_branch_is_unsat_with_its_pairs(monkeypatch):
+    # Record each branching node's kids and, in order, the blocks the check
+    # reads for them; a skipped kid with its pairs put back as `fresh`
+    # constraints must be unsat.
+    branches, check = decider._branches, decider._pair_conflict
+    node: list = []
+    skipped = []
+
+    def record_branches(s, q, i):
+        kids = branches(s, q, i)
+        node[:] = [s, q, i, list(kids)]
+        return kids
+
+    def record_check(block, pairs, base):
+        s, q, i, kids = node
+        kid = kids.pop(0)
+        m = len(kid.constraints) - len(q.constraints) + 1
+        assert block == kid.constraints[i:i + m], (q, i, kid)
+        conflict = check(block, pairs, base)
+        if conflict is not None:
+            skipped.append((s, Problem(kid.env, kid.constraints + tuple(
+                Fresh(a, Var(b)) for a, b in pairs))))
+        return conflict
+
+    monkeypatch.setattr(decider, "_branches", record_branches)
+    monkeypatch.setattr(decider, "_pair_conflict", record_check)
+    for s, p in _instances():
+        decide(s, p)
+    monkeypatch.undo()
+    assert len(skipped) > 100, len(skipped)
+    for s, p in skipped:
+        sat = relation_sat(s, p)
+        if sat is None:
+            res = brute_sat(s, p, pool=len(p.env))
+            assert res.exact
+            sat = res.sat
+        assert sat is False, p
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,25 @@ def _script(*argv: str) -> str:
 @pytest.mark.parametrize("argv, checked", [
     pytest.param(("pigeonhole", "3"), "oracle=unsat", id="pigeonhole"),
     pytest.param(("eu", "3", "--count", "2"), "oracle=", id="eu"),
-    pytest.param(("deep", "6", "--count", "2"), "planted=", id="deep")])
+    pytest.param(("deep", "6", "--count", "2"), "planted=", id="deep"),
+    pytest.param(("sat", "5", "--count", "4"), "dpll=", id="sat")])
 def test_search_families_runs(argv, checked):
     *lines, total = _script("scripts/search_families.py", *argv).splitlines()
     assert total.endswith(" 0 wrong")
     # Every verdict is checked: an oracle that gave up would print "-".
     assert lines and all(line.split()[-1].startswith(checked)
                          and not line.endswith("=-") for line in lines)
+
+
+def test_search_families_sat_agrees_with_dpll_on_both_verdicts():
+    # Exit 0 means every verdict agrees with the script's DPLL; these
+    # formulas, above the 4.26 threshold, give sat and unsat answers alike.
+    *lines, total = _script("scripts/search_families.py", "sat", "8",
+                            "--count", "6", "--ratio", "6").splitlines()
+    assert total.endswith(" 0 wrong")
+    assert {line.split()[1] for line in lines} == {"sat", "unsat"}
+    assert all(line.split()[-1] == f"dpll={line.split()[1]}"
+               for line in lines)
 
 
 def test_paired_runs_on_the_deep_family():
@@ -59,5 +71,5 @@ def test_sweep_finds_no_bad_witness_and_no_disagreement():
     # here; a change that lowers one updates its pin.
     totals = [line for line in done.stderr.splitlines()
               if line.startswith("nodes ")]
-    assert totals == ["nodes np: 1438", "nodes np65: 1608",
-                      "nodes eu: 6513", "nodes ms: 367"]
+    assert totals == ["nodes np: 1436", "nodes np65: 1602",
+                      "nodes eu: 6166", "nodes ms: 365"]
