@@ -234,7 +234,9 @@ def main() -> int:
 
 def run_in_big_stack(fn):
     """fn() in one worker thread with a 512 MiB stack and a raised
-    recursion limit; its exception, if any, is re-raised here."""
+    recursion limit; its exception, if any, is re-raised here.  The limit
+    and the stack size of new threads are process-wide, so both are put
+    back before it returns."""
     out = []
 
     def body():
@@ -244,10 +246,13 @@ def run_in_big_stack(fn):
         except BaseException as exc:
             out.append(exc)
 
-    threading.stack_size(512 * 1024 * 1024)
+    limit = sys.getrecursionlimit()
+    size = threading.stack_size(512 * 1024 * 1024)
     worker = threading.Thread(target=body)
     worker.start()
+    threading.stack_size(size)
     worker.join()
+    sys.setrecursionlimit(limit)
     if isinstance(out[0], BaseException):
         raise out[0]
     return out[0]

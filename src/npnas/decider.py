@@ -67,12 +67,15 @@ skipping a state reached twice.
   fails too.  Backjumping only prunes the chronological search in this
   order, so it never expands more nodes than that search.
 - Forward checking: a branch whose block holds `eq a b` between variables
-  while the pairs hold `fresh a b` or `fresh b a` is not pushed (Haralick
-  and Elliott, AIJ 1980).  It counts as a dead end, its conflict (the
-  smallest such pair tag | tag(i) | own) joins the node's, and a node whose
-  branches all go so fails at once.  This is sound: the branch with the
-  pair entails `eq a b` and `fresh a b`, which no valuation meets; those
-  rest on the levels in pair tag | tag(i) | own, so that set is a valid
+  while the pairs or the block itself hold `fresh a b` or `fresh b a` is
+  not pushed (Haralick and Elliott, AIJ 1980).  It counts as a dead end,
+  its conflict joins the node's, and a node whose branches all go so fails
+  at once.  The conflict is tag(i) | own when the block refutes itself, as
+  when a repeated binder shadows the one chosen, and otherwise the
+  smallest such pair tag | tag(i) | own.  This is sound: the branch, with
+  the pair if one is read, entails `eq a b` and `fresh a b`, which no
+  valuation meets; every constraint of the block rests on the levels in
+  tag(i) | own, and the pair on those in its tag, so that set is a valid
   conflict, and backjumping stays sound with any valid conflict.  A block
   holding a clash is pushed as before, so no pair tag widens its conflict.
 - No repeated solved freshness: of several copies of a solved `fresh x y`
@@ -386,22 +389,40 @@ def _pair_vars(pairs: dict) -> frozenset[str]:
     return frozenset(v for pair in pairs for v in pair)
 
 
-def _pair_conflict(block: tuple[Constraint, ...], pairs: dict,
-                   base: int) -> int | None:
-    """The smallest `tag | base` of a pair `fresh a b` or `fresh b a` that
-    an `eq a b` of `block` contradicts; None when there is none or the
-    block holds a clash."""
-    conflict = None
-    for c in block:
-        if c.clash:
-            return None
-        if isinstance(c, Eq) and isinstance(c.lhs, Var) \
-                and isinstance(c.rhs, Var):
-            a, b = c.lhs.name, c.rhs.name
-            for t in (pairs.get((a, b)), pairs.get((b, a))):
-                if t is not None and (conflict is None or t | base < conflict):
-                    conflict = t | base
-    return conflict
+def _block_conflicts(env: Env, c: Constraint, pairs: dict,
+                     base: int) -> list[int | None]:
+    """For each branch of branching constraint c, `<xs>xv = <ys>yv`, in
+    `expand`'s order: the smallest `tag | base` of a `fresh a b` or `fresh b
+    a` that an `eq a b` of its block contradicts, with a pair's tag or 0 for
+    the block's own; None if there is none or the block holds a clash.
+    Choosing binders x and y puts `eq xv x` and `eq yv y` in its block and
+    `fresh xv x` and `fresh yv y` in every later one; the last holds `eq xv
+    yv`."""
+    if isinstance(c, Fresh):
+        # `fresh x <ys>v` chooses as `<zs>x = <zs>x` does, zs = ys reversed;
+        # that equation's last block holds `eq x x`, which meets nothing.
+        xv = yv = c.var
+        choices = zip(c.prefix, c.prefix)
+    else:
+        xs, xv, ys, yv = c.split
+        xv, yv = xv.name, yv.name
+        choices = zip(xs[::-1], ys[::-1])
+    sort = env[xv].sort  # binders and xv are name variables
+    known = dict(pairs)  # (a, b) -> the tag of `fresh a b`
+    out: list[int | None] = []
+    clash = False        # whether the block holds a `fresh a a`
+    for x, y in [*choices, (yv, xv)]:
+        if env[x].sort != sort:
+            continue
+        conflict = None
+        for t in () if clash else (known.get((xv, x)), known.get((x, xv)),
+                                   known.get((yv, y)), known.get((y, yv))):
+            if t is not None and (conflict is None or t | base < conflict):
+                conflict = t | base
+        out.append(conflict)
+        known[xv, x] = known[yv, y] = 0
+        clash = clash or xv == x or yv == y
+    return out
 
 
 def _kid_tags(q: Problem, tags: tuple[int, ...], i: int, kid: Problem,
@@ -522,12 +543,9 @@ def _search(sig: Signature, p: Problem,
             tags = (0,) * len(q.constraints)
         conflicts.append(0)
         own = 1 << level
-        base = tags[i] | own
-        rest = len(q.constraints) - i - 1  # q's constraints after i
         pushed = len(stack)
-        for kid in kids:
-            conflict = None if not pairs else _pair_conflict(
-                kid.constraints[i:len(kid.constraints) - rest], pairs, base)
+        for kid, conflict in zip(kids, _block_conflicts(
+                q.env, q.constraints[i], pairs, tags[i] | own)):
             if conflict is None:
                 stack.append((kid, store, pairs, outside,
                               _kid_tags(q, tags, i, kid, own), level + 1))

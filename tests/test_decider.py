@@ -593,36 +593,82 @@ def test_pigeonhole_takes_fewer_nodes(n, nodes):
     assert not r.sat and r.nodes == nodes
 
 
+def test_a_binder_choice_refuted_by_its_own_block_is_not_built(sig):
+    # `<x>y = <y>x`: the branch tried first keeps each body apart from its
+    # binder, so its block holds `eq y x` beside `fresh y x` and `fresh x
+    # y`; it is skipped (4 nodes without it).
+    path = Path(__file__).parent.parent / "problems" / "swap-pair.np"
+    r = decide(*parse_problem(path.read_text()))
+    assert r.sat and r.nodes == 3
+    # A buried deep instance binds c0..c2 again and again along its term;
+    # the binder choices a repeated binder shadows are skipped (199 nodes
+    # without it).
+    families = _search_families()
+    p, _ = families.deep_problem("buried", 200, "200/1")
+    limit = sys.getrecursionlimit()
+    r = families.run_in_big_stack(lambda: decide(sig, p))
+    assert not r.sat and r.nodes == 17
+    assert sys.getrecursionlimit() == limit
+
+
+def _per_block_conflict(block, pairs, base):
+    """The forward check read off one block: the smallest `tag | base` of a
+    `fresh a b` or `fresh b a` that an `eq a b` between variables of the
+    block contradicts, with the block's own freshness at tag 0 and the
+    pairs at theirs; None when there is none or the block holds a clash."""
+    if any(c.clash for c in block):
+        return None
+    own = {(c.var, c.target.name) for c in block
+           if isinstance(c, Fresh) and isinstance(c.target, Var)}
+    conflict = None
+    for c in block:
+        if isinstance(c, Eq) and isinstance(c.lhs, Var) \
+                and isinstance(c.rhs, Var):
+            a, b = c.lhs.name, c.rhs.name
+            for ab in ((a, b), (b, a)):
+                t = 0 if ab in own else pairs.get(ab)
+                if t is not None and (conflict is None or t | base < conflict):
+                    conflict = t | base
+    return conflict
+
+
 def test_every_skipped_branch_is_unsat_with_its_pairs(monkeypatch):
-    # Record each branching node's kids and, in order, the blocks the check
-    # reads for them; a skipped kid with its pairs put back as `fresh`
-    # constraints must be unsat.
-    branches, check = decider._branches, decider._pair_conflict
+    # At every branching node the conflicts read off the branching
+    # constraint's prefix equal those read off each kid's block; a skipped
+    # kid with its pairs put back as `fresh` constraints must be unsat.
+    branches, check = decider._branches, decider._block_conflicts
     node: list = []
     skipped = []
+    alone = 0  # skips the block's own freshness explains without the pairs
 
     def record_branches(s, q, i):
         kids = branches(s, q, i)
-        node[:] = [s, q, i, list(kids)]
+        node[:] = [s, q, i, kids]
         return kids
 
-    def record_check(block, pairs, base):
+    def record_check(env, c, pairs, base):
+        nonlocal alone
         s, q, i, kids = node
-        kid = kids.pop(0)
-        m = len(kid.constraints) - len(q.constraints) + 1
-        assert block == kid.constraints[i:i + m], (q, i, kid)
-        conflict = check(block, pairs, base)
-        if conflict is not None:
-            skipped.append((s, Problem(kid.env, kid.constraints + tuple(
-                Fresh(a, Var(b)) for a, b in pairs))))
-        return conflict
+        assert env is q.env and c is q.constraints[i]
+        conflicts = check(env, c, pairs, base)
+        assert len(conflicts) == len(kids) > 1, (q, i)
+        for kid, conflict in zip(kids, conflicts):
+            block = kid.constraints[i:i + len(kid.constraints)
+                                    - len(q.constraints) + 1]
+            assert conflict == _per_block_conflict(block, pairs, base), \
+                (q, i, kid, pairs)
+            if conflict is not None:
+                alone += _per_block_conflict(block, {}, base) is not None
+                skipped.append((s, Problem(kid.env, kid.constraints + tuple(
+                    Fresh(a, Var(b)) for a, b in pairs))))
+        return conflicts
 
     monkeypatch.setattr(decider, "_branches", record_branches)
-    monkeypatch.setattr(decider, "_pair_conflict", record_check)
+    monkeypatch.setattr(decider, "_block_conflicts", record_check)
     for s, p in _instances():
         decide(s, p)
     monkeypatch.undo()
-    assert len(skipped) > 100, len(skipped)
+    assert alone > 30 and len(skipped) - alone > 150, (alone, len(skipped))
     for s, p in skipped:
         sat = relation_sat(s, p)
         if sat is None:

@@ -1,6 +1,6 @@
 """The scripts under scripts/ run end to end on small inputs, and
 scripts/sweep.py on its whole fixed set (about 4 s), with its node totals
-pinned.
+pinned.  scripts/exhaustive.py runs on two small scopes (about 4 s).
 
 The other two read the benchmark's generators from perfbench/workloads.py
 (`np_stream`, `eu_stream`, `np_deep` and `deep_problem`), so a name that
@@ -71,5 +71,16 @@ def test_sweep_finds_no_bad_witness_and_no_disagreement():
     # here; a change that lowers one updates its pin.
     totals = [line for line in done.stderr.splitlines()
               if line.startswith("nodes ")]
-    assert totals == ["nodes np: 1436", "nodes np65: 1602",
-                      "nodes eu: 6166", "nodes ms: 365"]
+    assert totals == ["nodes np: 1428", "nodes np65: 1598",
+                      "nodes eu: 6136", "nodes ms: 365"]
+
+
+@pytest.mark.parametrize("argv, problems", [
+    pytest.param(("2",), 11264, id="two-constraints"),
+    pytest.param(("3", "--constraints", "1"), 401, id="shadowing")])
+def test_exhaustive_np_finds_no_disagreement(argv, problems):
+    # Exit 0 means every exact oracle verdict agrees with `decide`; the
+    # second scope holds the shadowing prefixes such as `<v0><v0>v1`.
+    (last,) = _script("scripts/exhaustive.py", "np", *argv).splitlines()
+    assert last.startswith(f"np {argv[0]}: {problems} problems, ")
+    assert last.endswith(" 0 disagreements")
