@@ -201,7 +201,7 @@ def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
         if not isinstance(bl, Var) and not isinstance(br, Var):
             return (_replace(q, i, _leaves(c.lhs, c.rhs)),)
         if isinstance(bl, Var) and isinstance(br, Var):
-            if not xs and bl != br:
+            if not xs and bl.name != br.name:
                 return (_subst_rest(q, i, [c], bl.name, br),)
         elif xs:
             x, t = (bl, br) if isinstance(bl, Var) else (br, bl)
@@ -308,13 +308,13 @@ def _narrow_to_skeleton(sig: Signature, q: Problem, i: int, x: Var,
     return _subst_rest(q, i, block, x.name, skeleton, env=new_env)
 
 
-def _shelve(q: Problem, tags: tuple[int, ...] | None = None,
+def _shelve(q: Problem, tags: tuple[int, ...],
             outside: frozenset[str] = frozenset()):
     """Move every solved `eq x t` (x isolated) out of q until none is left;
     the variables in `outside` count as occurring in the rest.  Returns
     what remains, the (x, t) pairs in the order they moved, the statuses of
-    what remains and the tags of what remains (None stays None); the moved
-    pairs drop their tags."""
+    what remains and the tags of what remains; the moved pairs drop their
+    tags."""
     moved: list[tuple[str, Term]] = []
     while SOLVED_ASSIGN in (st := statuses(q, outside)):
         shared = shared_vars(q) | outside
@@ -327,12 +327,11 @@ def _shelve(q: Problem, tags: tuple[int, ...] | None = None,
             else:
                 moved.append((c.rhs.name, c.lhs))
         q = Problem(q.env, tuple(rest))
-        if tags is not None:
-            tags = tuple(t for t, s in zip(tags, st) if s != SOLVED_ASSIGN)
+        tags = tuple(t for t, s in zip(tags, st) if s != SOLVED_ASSIGN)
     return q, tuple(moved), st, tags
 
 
-def _drop_repeats(q: Problem, st: tuple, tags: tuple[int, ...] | None,
+def _drop_repeats(q: Problem, st: tuple, tags: tuple[int, ...],
                   pairs: dict):
     """q, its statuses and its tags without the solved freshness that
     leaves the state, and the name pairs beside it.  A solved `fresh a b`
@@ -352,7 +351,7 @@ def _drop_repeats(q: Problem, st: tuple, tags: tuple[int, ...] | None,
             if isinstance(env[key[1]], NameSortT):
                 if joined is None:
                     joined = dict(pairs)
-                joined.setdefault(key, 0 if tags is None else tags[j])
+                joined.setdefault(key, tags[j])
                 continue
             if key in seen:
                 continue
@@ -362,7 +361,7 @@ def _drop_repeats(q: Problem, st: tuple, tags: tuple[int, ...] | None,
         return q, st, tags, pairs
     return (Problem(env, tuple(cs[j] for j in keep)),
             tuple(st[j] for j in keep),
-            None if tags is None else tuple(tags[j] for j in keep),
+            tuple(tags[j] for j in keep),
             pairs if joined is None else joined)
 
 
@@ -478,10 +477,11 @@ def _search(sig: Signature, p: Problem,
             options: SolveOptions) -> SolveResult:
     # Entries (problem, store, pairs, their variables, tags, level): pairs
     # holds the solved name freshness set aside, tags holds each
-    # constraint's mask of the branching levels it rests on (None until the
-    # path's first branching node), and level counts the path's branching
-    # nodes.  conflicts[l] joins the conflicts of level l's failed branches.
-    stack: list[tuple] = [(p, (), {}, frozenset(), None, 0)]
+    # constraint's mask of the branching levels it rests on, and level
+    # counts the path's branching nodes.  conflicts[l] joins the conflicts
+    # of level l's failed branches.
+    stack: list[tuple] = [(p, (), {}, frozenset(), (0,) * len(p.constraints),
+                           0)]
     conflicts: list[int] = []
     nodes = 0
     dead_ends = 0
@@ -491,7 +491,7 @@ def _search(sig: Signature, p: Problem,
             # A clash constraint never goes away, so no descendant of q is
             # solved; count each encounter with such a branch as a dead end.
             dead_ends += 1
-            _backjump(stack, conflicts, 0 if tags is None else min(
+            _backjump(stack, conflicts, min(
                 t for c, t in zip(q.constraints, tags) if c.clash))
             continue
         q, moved, st, tags = _shelve(q, tags, outside)
@@ -518,9 +518,8 @@ def _search(sig: Signature, p: Problem,
         kids = _branches(sig, q, i)
         if len(kids) == 1:
             (kid,) = kids
-            ti = 0 if tags is None else tags[i]
-            if tags is not None:
-                tags = _kid_tags(q, tags, i, kid, 0)
+            ti = tags[i]
+            tags = _kid_tags(q, tags, i, kid, 0)
             c = q.constraints[i]
             if outside and isinstance(c, Eq):
                 # Only `eq x y` without binders substitutes a name variable:
@@ -528,19 +527,16 @@ def _search(sig: Signature, p: Problem,
                 # are rewritten.
                 xs, x, _, y = c.split
                 if not xs and isinstance(x, Var) and x.name in outside \
-                        and x != y:
+                        and x.name != y.name:
                     pairs, clashes = _rewrite_pairs(pairs, x.name, y.name, ti)
                     outside = _pair_vars(pairs)
                     if clashes:
                         kid = Problem(kid.env, kid.constraints + tuple(
                             f for f, _ in clashes))
-                        if tags is not None:
-                            tags += tuple(t for _, t in clashes)
+                        tags += tuple(t for _, t in clashes)
             stack.append((kid, store, pairs, outside, tags, level))
             continue
         # Last branch first: the name kept apart from every binder.
-        if tags is None:
-            tags = (0,) * len(q.constraints)
         conflicts.append(0)
         own = 1 << level
         pushed = len(stack)
@@ -573,7 +569,7 @@ def extract_witness(sig: Signature, p: Problem,
     every freshness constraint; last, the store is filled in reverse order,
     each x from its t.
     """
-    _, moved, labels, _ = _shelve(p)
+    _, moved, labels, _ = _shelve(p, (0,) * len(p.constraints))
     if not all(s in SOLVED_FORMS for s in labels):
         raise NotSolved(f"not a solved problem: {p}")
     env = p.env

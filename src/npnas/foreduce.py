@@ -104,13 +104,17 @@ def fo_unify(pairs) -> dict[str, Term] | None:
     stack = list(pairs)
     while stack:
         a, b = stack.pop()
-        a = _walk(a, subst)
-        b = _walk(b, subst)
-        if a == b:
+        # Equal sides are decomposed like any others: comparing them whole
+        # at every step would cost time quadratic in their depth.
+        if a is not b:
+            a, b = _walk(a, subst), _walk(b, subst)
+        if a is b or (isinstance(a, SUnit) and isinstance(b, SUnit)):
             continue
         if isinstance(a, Var) or isinstance(b, Var):
             if not isinstance(a, Var):
                 a, b = b, a
+            if isinstance(b, Var) and b.name == a.name:
+                continue
             if _occurs(a.name, b, subst):
                 return None
             subst[a.name] = b

@@ -12,11 +12,13 @@ fields and its facts: the free `names` of an alpha-tree node, the `vars`
 of a term or constraint, and the rule facts of a constraint (an
 equation's `split`, a freshness constraint's `prefix` and `core`, and the
 `clash` shape of either).  Nothing assigns a field after `__init__`, and
-the facts rely on that.  `==` and `hash` read the fields alone, never the
-facts.
+the facts rely on that.  `==` and `hash` are written once, in `Value`,
+and read the fields alone, never the facts.  `AlphaTree` compares its
+node trees with an explicit stack, so trees of any depth compare.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Mapping, Union
 
 from .errors import TypeMismatch, UndeclaredSort, Uninhabited, ValidationError
@@ -25,13 +27,32 @@ from .errors import TypeMismatch, UndeclaredSort, Uninhabited, ValidationError
 # Values
 
 class Value:
-    """Base of the value classes: a dataclass-style repr of `_fields`.
+    """Base of the value classes: `==`, `hash` and a dataclass-style repr,
+    all read from `_fields`.
 
     Each subclass lists its fields in `_fields` and its `__slots__`, and
-    writes its own `__init__`, `__eq__` and `__hash__`: `==` tests identity
-    first, then the class and the fields, as a frozen dataclass would."""
+    writes its own `__init__`.  `==` tests identity first, then the class
+    and the fields, as a frozen dataclass would; a class without fields
+    compares by class alone.  `_key` reads a value's fields: the one field,
+    a tuple of several, or () when there are none."""
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._key = (attrgetter(*cls._fields) if cls._fields
+                    else staticmethod(lambda v: ()))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -48,16 +69,6 @@ class NameSortT(Value):
     def __init__(self, sort: str):
         self.sort = sort
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sort == other.sort
-
-    def __hash__(self):
-        return hash((self.sort,))
-
     def __str__(self):
         return f"(name {self.sort})"
 
@@ -68,30 +79,12 @@ class DataSortT(Value):
     def __init__(self, sort: str):
         self.sort = sort
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sort == other.sort
-
-    def __hash__(self):
-        return hash((self.sort,))
-
     def __str__(self):
         return f"(data {self.sort})"
 
 
 class UnitT(Value):
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self):
-        return hash(())
 
     def __str__(self):
         return "unit"
@@ -105,16 +98,6 @@ class AbsT(Value):
         self.binder = binder
         self.body = body
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.binder == other.binder and self.body == other.body
-
-    def __hash__(self):
-        return hash((self.binder, self.body))
-
     def __str__(self):
         return f"(abs (name {self.binder}) {self.body})"
 
@@ -126,16 +109,6 @@ class TupleT(Value):
         if len(items) < 2:
             raise ValueError("tuple types need at least two components")
         self.items = items
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return hash((self.items,))
 
     def __str__(self):
         return "(pair " + " ".join(str(t) for t in self.items) + ")"
@@ -165,15 +138,6 @@ class Signature(Value):
         self.arg_sorts = {con: type_sorts(arg)
                           for con, (arg, _) in constructors.items()}
         self.builders = _builders(self)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name_sorts == other.name_sorts
-                and self.data_sorts == other.data_sorts
-                and self.constructors == other.constructors)
 
     __hash__ = None  # constructors is a mapping
 
@@ -239,30 +203,12 @@ class Name(Value):
         self.index = index
         self.names = frozenset((self,))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.index == other.index and self.sort == other.sort
-
-    def __hash__(self):
-        return hash((self.sort, self.index))
-
     def __str__(self):
         return f"n{self.index}@{self.sort}"
 
 
 class GUnit(Value):
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self):
-        return hash(())
 
     def __str__(self):
         return "unit"
@@ -273,16 +219,6 @@ class GTuple(Value):
 
     def __init__(self, items: tuple[GroundTree, ...]):
         self.items = items
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return hash((self.items,))
 
     def __str__(self):
         return _render(self)
@@ -295,16 +231,6 @@ class GApp(Value):
         self.con = con
         self.arg = arg
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.con == other.con and self.arg == other.arg
-
-    def __hash__(self):
-        return hash((self.con, self.arg))
-
     def __str__(self):
         return _render(self)
 
@@ -315,16 +241,6 @@ class GAbs(Value):
     def __init__(self, binder: Name, body: GroundTree):
         self.binder = binder
         self.body = body
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.binder == other.binder and self.body == other.body
-
-    def __hash__(self):
-        return hash((self.binder, self.body))
 
     def __str__(self):
         return _render(self)
@@ -371,28 +287,10 @@ class ABound(Value):
     def __init__(self, depth: int):
         self.depth = depth
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.depth == other.depth
-
-    def __hash__(self):
-        return hash((self.depth,))
-
 
 class AUnit(Value):
     __slots__ = ()
     names = frozenset()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self):
-        return hash(())
 
 
 class ATuple(Value):
@@ -402,16 +300,6 @@ class ATuple(Value):
     def __init__(self, items: tuple[ANode, ...]):
         self.items = items
         self.names = frozenset().union(*[a.names for a in items])
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return hash((self.items,))
 
 
 class AApp(Value):
@@ -423,16 +311,6 @@ class AApp(Value):
         self.arg = arg
         self.names = arg.names
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.con == other.con and self.arg == other.arg
-
-    def __hash__(self):
-        return hash((self.con, self.arg))
-
 
 class AAbs(Value):
     _fields = ("sort", "body")
@@ -443,16 +321,6 @@ class AAbs(Value):
         self.body = body
         self.names = body.names
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sort == other.sort and self.body == other.body
-
-    def __hash__(self):
-        return hash((self.sort, self.body))
-
 
 ANode = Union[Name, ABound, AUnit, ATuple, AApp, AAbs]
 
@@ -461,7 +329,10 @@ AUNIT = AUnit()
 
 class AlphaTree(Value):
     """Canonical representative of an alpha-equivalence class: bound names
-    replaced by binder distances, free names kept explicit."""
+    replaced by binder distances, free names kept explicit.
+
+    `==` is `Value`'s, walked with an explicit stack over the node trees,
+    so two trees of any depth compare; the hash is `Value`'s."""
     __slots__ = _fields = ("node",)
 
     def __init__(self, node: ANode):
@@ -472,10 +343,31 @@ class AlphaTree(Value):
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.node == other.node
+        todo = [(self.node, other.node)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if b.__class__ is not cls:
+                return False
+            if cls is AApp:
+                if a.con != b.con:
+                    return False
+                todo.append((a.arg, b.arg))
+            elif cls is AAbs:
+                if a.sort != b.sort:
+                    return False
+                todo.append((a.body, b.body))
+            elif cls is ATuple:
+                if len(a.items) != len(b.items):
+                    return False
+                todo += zip(a.items, b.items)
+            elif a != b:  # a leaf: Name, ABound or AUnit
+                return False
+        return True
 
-    def __hash__(self):
-        return hash((self.node,))
+    __hash__ = Value.__hash__
 
     def free_names(self) -> frozenset[Name]:
         return self.node.names

@@ -74,14 +74,14 @@ def _classify(env: Env, c: Constraint, in_rest) -> str | None:
     k = len(xs)
     if isinstance(bl, Var) and isinstance(br, Var):
         if k == 0:
-            if bl == br:
+            if bl.name == br.name:
                 return None  # trivial equation, dropped by a rule
             if in_rest(bl.name) and in_rest(br.name):
                 return None  # substitution applies
             return SOLVED_ASSIGN
         if isinstance(env[bl.name], NameSortT):
             return None  # binder-comparison branching applies
-        return SOLVED_ABS_SAME if bl == br else SOLVED_ABS_PAIR
+        return SOLVED_ABS_SAME if bl.name == br.name else SOLVED_ABS_PAIR
     if isinstance(bl, Var) or isinstance(br, Var):
         x = bl if isinstance(bl, Var) else br
         if k > 0 or in_rest(x.name):

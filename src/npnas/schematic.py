@@ -49,16 +49,6 @@ class Var(Value):
         self.name = name
         self.vars = frozenset((name,))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
-
     def __str__(self):
         return self.name
 
@@ -66,14 +56,6 @@ class Var(Value):
 class SUnit(Value):
     __slots__ = ()
     vars = frozenset()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self):
-        return hash(())
 
     def __str__(self):
         return "unit"
@@ -86,16 +68,6 @@ class STuple(Value):
     def __init__(self, items: tuple[Term, ...]):
         self.items = items
         self.vars = frozenset().union(*[t.vars for t in items])
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self):
-        return hash((self.items,))
 
     def __str__(self):
         return "(tuple " + " ".join(str(t) for t in self.items) + ")"
@@ -110,16 +82,6 @@ class SApp(Value):
         self.arg = arg
         self.vars = arg.vars
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.con == other.con and self.arg == other.arg
-
-    def __hash__(self):
-        return hash((self.con, self.arg))
-
     def __str__(self):
         return f"(con {self.con} {self.arg})"
 
@@ -133,16 +95,6 @@ class SAbs(Value):
         self.binder = binder
         self.body = body
         self.vars = body.vars | {binder}
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.binder == other.binder and self.body == other.body
-
-    def __hash__(self):
-        return hash((self.binder, self.body))
 
     def __str__(self):
         return f"(abs {self.binder} {self.body})"
@@ -210,16 +162,6 @@ class Eq(Value):
               and lhs.con != rhs.con):
             self.clash = CLASH_CON
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lhs == other.lhs and self.rhs == other.rhs
-
-    def __hash__(self):
-        return hash((self.lhs, self.rhs))
-
     def __str__(self):
         return f"(eq {self.lhs} {self.rhs})"
 
@@ -240,16 +182,6 @@ class Fresh(Value):
                       if isinstance(target, Var) and target.name == var
                       else None)
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.var == other.var and self.target == other.target
-
-    def __hash__(self):
-        return hash((self.var, self.target))
-
     def __str__(self):
         return f"(fresh {self.var} {self.target})"
 
@@ -268,14 +200,6 @@ class Problem(Value):
                  constraints: tuple[Constraint, ...]):
         self.env = env
         self.constraints = constraints
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.env == other.env
-                and self.constraints == other.constraints)
 
     __hash__ = None  # env is a mapping
 

@@ -461,19 +461,20 @@ DEEP_SIGNATURE = ("(signature (name-sort nm) (data-sort tm)\n"
 
 
 def test_solve_deep_equation_is_a_resource_limit(tmp_path, capsys):
-    # The re-check compares the witness's alpha-trees with `==`, which
-    # recurses once per level.  The report is written only once it is
+    # The collapse's occurs check (`foreduce._occurs`) recurses once per
+    # level and overflows first.  The report is written only once it is
     # rendered, so none of it reaches stdout.
     path = tmp_path / "deep-eq.np"
     path.write_text(DEEP_SIGNATURE + "(vars (b (name nm)) (x (data tm)))\n"
-                    f"(constraints (eq x {_deep_term(230)}))\n")
+                    f"(constraints (eq x {_deep_term(300)}))\n")
     code, out, err = run(capsys, "solve", str(path))
     assert code == 3 and out == ""
     assert err == "error: input nested too deeply\n"
 
 
 def test_solve_prints_a_deep_witness(tmp_path, capsys):
-    # `realize` and the ground trees' printing walk with explicit stacks.
+    # `realize`, the ground trees' printing and the re-check's comparison of
+    # alpha-trees walk with explicit stacks.
     path = tmp_path / "deep-eq.np"
     path.write_text(DEEP_SIGNATURE + "(vars (b (name nm)) (x (data tm)))\n"
                     f"(constraints (eq x {_deep_term(200)}))\n")

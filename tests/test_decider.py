@@ -378,7 +378,7 @@ def _chronological(sig, p):
         q = stack.pop()
         if rewrite.has_clash(q):
             continue
-        q, _, st, _ = decider._shelve(q)
+        q, _, st, _ = decider._shelve(q, (0,) * len(q.constraints))
         idx = [i for i, s in enumerate(st) if s is None]
         if not idx:
             return True, nodes

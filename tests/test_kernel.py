@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import pytest
@@ -6,8 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 from npnas import kernel
 from npnas.errors import TypeMismatch, Uninhabited, ValidationError
 from npnas.kernel import (
+    AAbs,
+    AApp,
+    ABound,
     AbsT,
     AlphaTree,
+    ATuple,
+    AUNIT,
     DataSortT,
     GAbs,
     GApp,
@@ -143,6 +150,50 @@ def test_alpha_tree_name_accessors():
     assert t.is_name() and t.name() == a0
     with pytest.raises(TypeMismatch):
         canonicalize(GUNIT).name()
+
+
+def _deep_node(depth: int, leaf):
+    """`depth` levels, alternating L over an abstraction and P over a pair,
+    around leaf; each call builds its own nodes."""
+    node = AApp("V", leaf)
+    for i in range(depth):
+        node = (AApp("L", AAbs("A", node)) if i % 2 == 0
+                else AApp("P", ATuple((node, AApp("Z", AUNIT)))))
+    return node
+
+
+def test_deep_alpha_trees_compare():
+    # AlphaTree's `==` walks with an explicit stack, so depth is no limit.
+    deep = AlphaTree(_deep_node(10_000, a0))
+    assert deep == AlphaTree(_deep_node(10_000, a0))
+    for leaf in (a1, ABound(0)):
+        other = AlphaTree(_deep_node(10_000, leaf))
+        assert deep != other and not deep == other
+
+
+def test_only_value_and_alpha_tree_define_equality():
+    # `==` and `hash` are written once, in Value; AlphaTree only walks its
+    # nodes with a stack.  `__hash__ = None` marks a value with a mapping.
+    package = pathlib.Path(kernel.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef) or cls.name in (
+                    "Value", "AlphaTree"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign) and not (
+                        isinstance(node.value, ast.Constant)
+                        and node.value.value is None):
+                    names = [t.id for t in node.targets
+                             if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{path.name}: {cls.name}.{name}" for name in names
+                          if name in ("__eq__", "__hash__")]
+    assert not found, found
 
 
 # ---------------------------------------------------------------------------

@@ -201,11 +201,20 @@ def test_values_keep_the_value_contract(seed, g):
                 for _ in range(2))
     p = Problem(dict(_VARS_ENV), (Eq(lhs, rhs), Eq(rhs, lhs),
                                   Fresh("a", lhs), Fresh("a", rhs)))
-    for v in [*_walk(ty), *_walk(p), *_walk(canonicalize(g)), *_walk(g)]:
+    values = [*_walk(ty), *_walk(p), *_walk(canonicalize(g)), *_walk(g)]
+    for v in values:
         cls = type(v)
         # A copy rebuilt from the fields by keyword is the same value.
         copy = cls(**_fields(v))
         assert copy == v and not copy != v
+        # A copy with one field taken from another value of the class is
+        # another value when that field differs.
+        for f, old in _fields(v).items():
+            new = next((getattr(w, f) for w in values if type(w) is cls
+                        and getattr(w, f) != old), None)
+            if new is not None:
+                changed = cls(**{**_fields(v), f: new})
+                assert changed != v and v != changed
         if isinstance(v, Problem):
             with pytest.raises(TypeError):
                 hash(v)
@@ -237,6 +246,10 @@ def test_values_keep_the_value_contract(seed, g):
         # references.
         assert not hasattr(v, "__dict__")
         assert hasattr(v, "__weakref__") == isinstance(v, (Eq, Fresh, Problem))
+    # `==` and `hash` read `_fields`, so they are the constructor's
+    # parameters.
+    for cls in _VALUE_CLASSES:
+        assert cls._fields == _params(cls), cls
     assert NameSortT("nm") != DataSortT("nm")
     assert SApp("L", lhs) != SAbs("L", lhs)
     copy = Signature(**_fields(sig))
