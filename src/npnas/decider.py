@@ -7,7 +7,7 @@ the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
 
 The search departs from the paper's relation (`rewrite.expand`,
-`successors`) in eight ways.  Committed orientation and single-branch first
+`successors`) in six ways.  Committed orientation and single-branch first
 rest on the paper's result that every rule's branch set preserves
 satisfiability: one reducible constraint's branches are a complete choice,
 and the search terminates under any selection once the collapse succeeds.
@@ -24,30 +24,43 @@ skipping a state reached twice.
   before branching in DPLL.  Only a name compared with a binder prefix
   branches: freshness under binders, or an equation of two prefixed
   variables.
-- A store of solved equations: every solved `eq x t` (x isolated) leaves
-  the state as a pair (x, t).  x occurs nowhere else, rules substitute only
-  variables that occur in the rest, and narrowing adds only fresh names, so
-  x never returns: the state is equisatisfiable with what remains.  Each t
-  mentions only variables still present or stored later, so the witness
-  fills the store in reverse order.  This is the triangular form of a
-  unifier (Martelli and Montanari, TOPLAS 1982).
-- Solved name freshness beside the store: every solved `fresh a b` whose
-  target b is a name variable leaves the state for a per-path dict of
-  pairs (a, b), each with its tag; a pair already there keeps its tag.
-  The pairs' variables still count as occurring in the rest, so every
-  label is the one the state would get with the pairs put back.  No rule
-  applies to a pair again, and only a substitution can change one: a name
-  sort's only terms are variables, so only `eq x y` without binders
-  substitutes a name variable, x:=y.  Then just the pairs that hold x are
-  rewritten, each adding the equation's tag as a rewritten constraint
-  does.  A rewritten pair stays solved or becomes the clash `fresh y y`,
-  which goes back into the state with its tag.  So every step and label
-  is the one the state with its pairs in it would give, and every tag
-  still names levels its constraint rests on; the search only stops
-  re-reading the pairs at every node, as Chaff looks at a clause again
-  only when one of its watched variables changes (Moskewicz et al., DAC
-  2001).  The witness is checked against the pairs with the rest of the
-  solved state.
+- Solved constraints set aside: each round labels the state once and
+  takes three kinds of solved constraint out of it; only a round that moved
+  an equation labels again.
+  - The store: every solved `eq x t` (x isolated) leaves the state as a
+    pair (x, t).  x occurs nowhere else, rules substitute only variables
+    that occur in the rest, and narrowing adds only fresh names, so x never
+    returns: the state is equisatisfiable with what remains.  Each t
+    mentions only variables still present or stored later, so the witness
+    fills the store in reverse order.  This is the triangular form of a
+    unifier (Martelli and Montanari, TOPLAS 1982).
+  - The pairs beside the store: every solved `fresh a b` whose target b is
+    a name variable leaves the state for a per-path dict of pairs (a, b),
+    each with its tag; a pair already there keeps its tag.  The pairs'
+    variables still count as occurring in the rest, so every label is the
+    one the state would get with the pairs put back.  No rule applies to a
+    pair again, and only a substitution can change one: a name sort's only
+    terms are variables, so only `eq x y` without binders substitutes a
+    name variable, x:=y.  Then just the pairs that hold x are rewritten,
+    each adding the equation's tag as a rewritten constraint does.  A
+    rewritten pair stays solved or becomes the clash `fresh y y`, which
+    goes back into the state with its tag.  So every step and label is the
+    one the state with its pairs in it would give, and every tag still
+    names levels its constraint rests on; the search only stops re-reading
+    the pairs at every node, as Chaff looks at a clause again only when one
+    of its watched variables changes (Moskewicz et al., DAC 2001).  The
+    witness is checked against the pairs with the rest of the solved
+    state.
+  - No repeats: of several copies of a solved `fresh x y` only the first
+    stays, with its tag: in the state when y is a data variable, and among
+    the pairs when y is a name variable.  A conjunction holds with or
+    without a repeat, a repeat labels nothing else differently, and either
+    copy's tag justifies the one kept.  Without this, the branch tried
+    first leaves each swap gadget of a chain two `fresh` constraints that
+    every later `eq x y` rewrites into copies of the same ones, and every
+    pending sibling keeps its own.  A solved `fresh x y` with y a data
+    variable stays in place: narrowing y makes it reducible again, and its
+    position decides the selection.
 - Least commitment and backjumping: a branching node's successors are
   tried last first, so the branch that keeps the name apart from every
   binder goes first and the binder equalities follow in the reverse of
@@ -78,16 +91,6 @@ skipping a state reached twice.
   tag(i) | own, and the pair on those in its tag, so that set is a valid
   conflict, and backjumping stays sound with any valid conflict.  A block
   holding a clash is pushed as before, so no pair tag widens its conflict.
-- No repeated solved freshness: of several copies of a solved `fresh x y`
-  only the first stays, with its tag: in the state when y is a data
-  variable, and among the pairs when y is a name variable.  A conjunction
-  holds with or without a repeat, a repeat labels nothing else
-  differently, and either copy's tag justifies the one kept.  Without
-  this, the branch tried first leaves each swap gadget of a chain two
-  `fresh` constraints that every later `eq x y` rewrites into copies of
-  the same ones, and every pending sibling keeps its own.  A solved
-  `fresh x y` with y a data variable stays in place: narrowing y makes it
-  reducible again, and its position decides the selection.
 - Narrowing and decomposition to the leaves: a reducible `<xs>x = <ys>t`
   with xs non-empty maps x to t's whole constructor skeleton in one step,
   with its own fresh variable for each variable and each binder of t.  The
@@ -151,7 +154,6 @@ from .schematic import (
     Var,
     check_problem,
     instantiate,
-    problem_vars,
     satisfies_all,
     subst_constraint,
 )
@@ -282,7 +284,7 @@ def _narrow_to_skeleton(sig: Signature, q: Problem, i: int, x: Var,
         elif isinstance(u, SAbs):
             stack.append((u.body, ty.body))
     count = sum(isinstance(u, (Var, SAbs)) for u, _ in nodes)
-    fresh = list(fresh_vars(frozenset(env) | problem_vars(q), count))
+    fresh = list(fresh_vars(env, count))
     new_env = dict(env)
     # In reverse pre-order children come before their parent, first child
     # on top, and the fresh names are taken from the end.
@@ -308,61 +310,56 @@ def _narrow_to_skeleton(sig: Signature, q: Problem, i: int, x: Var,
     return _subst_rest(q, i, block, x.name, skeleton, env=new_env)
 
 
-def _shelve(q: Problem, tags: tuple[int, ...],
-            outside: frozenset[str] = frozenset()):
-    """Move every solved `eq x t` (x isolated) out of q until none is left;
-    the variables in `outside` count as occurring in the rest.  Returns
-    what remains, the (x, t) pairs in the order they moved, the statuses of
-    what remains and the tags of what remains; the moved pairs drop their
-    tags."""
-    moved: list[tuple[str, Term]] = []
-    while SOLVED_ASSIGN in (st := statuses(q, outside)):
-        shared = shared_vars(q) | outside
-        rest = []
-        for c, s in zip(q.constraints, st):
-            if s != SOLVED_ASSIGN:
-                rest.append(c)
-            elif isinstance(c.lhs, Var) and c.lhs.name not in shared:
-                moved.append((c.lhs.name, c.rhs))
-            else:
-                moved.append((c.rhs.name, c.lhs))
-        q = Problem(q.env, tuple(rest))
-        tags = tuple(t for t, s in zip(tags, st) if s != SOLVED_ASSIGN)
-    return q, tuple(moved), st, tags
-
-
-def _drop_repeats(q: Problem, st: tuple, tags: tuple[int, ...],
-                  pairs: dict):
-    """q, its statuses and its tags without the solved freshness that
-    leaves the state, and the name pairs beside it.  A solved `fresh a b`
-    with b a name variable joins `pairs`, a dict (a, b) -> tag (a new dict
-    when one joins); a pair already there keeps its tag.  Of the copies of
-    a solved `fresh x y` with y a data variable only the first stays."""
-    if SOLVED_FRESH not in st:
-        return q, st, tags, pairs
+def _settle(q: Problem, tags: tuple[int, ...], pairs: dict):
+    """Set q's solved constraints aside.  Each round labels q once, with the
+    pairs' variables counted as occurring in the rest, and then moves every
+    solved `eq x t` (x isolated) to the store, joins every solved `fresh a
+    b` with b a name variable to `pairs`, a dict (a, b) -> tag (a new dict
+    when one joins; a pair already there keeps its tag), and keeps only the
+    first of the copies of a solved `fresh x y` with y a data variable.
+    Only a round that moved an equation labels again.  Returns what
+    remains, the (x, t) pairs in the order they moved, the statuses and the
+    tags of what remains, and the pairs; the moved pairs drop their tags."""
     env = q.env
-    cs = q.constraints
-    keep: list[int] = []
-    seen: set = set()
-    joined = None
-    for j, (c, s) in enumerate(zip(cs, st)):
-        if s == SOLVED_FRESH:
-            key = (c.var, c.core.name)
-            if isinstance(env[key[1]], NameSortT):
-                if joined is None:
-                    joined = dict(pairs)
-                joined.setdefault(key, tags[j])
+    moved: list[tuple[str, Term]] = []
+    copied = False
+    while True:
+        outside = frozenset().union(*pairs) if pairs else frozenset()
+        st = statuses(q, outside)
+        assigns = SOLVED_ASSIGN in st
+        if not assigns and SOLVED_FRESH not in st:
+            break
+        if assigns:
+            shared = shared_vars(q) | outside
+        cs = q.constraints
+        keep: list[int] = []
+        seen: set = set()
+        for j, (c, s) in enumerate(zip(cs, st)):
+            if s == SOLVED_ASSIGN:
+                if isinstance(c.lhs, Var) and c.lhs.name not in shared:
+                    moved.append((c.lhs.name, c.rhs))
+                else:
+                    moved.append((c.rhs.name, c.lhs))
                 continue
-            if key in seen:
-                continue
-            seen.add(key)
-        keep.append(j)
-    if len(keep) == len(cs):
-        return q, st, tags, pairs
-    return (Problem(env, tuple(cs[j] for j in keep)),
-            tuple(st[j] for j in keep),
-            tuple(tags[j] for j in keep),
-            pairs if joined is None else joined)
+            if s == SOLVED_FRESH:
+                key = (c.var, c.core.name)
+                if isinstance(env[key[1]], NameSortT):
+                    if not copied:
+                        pairs, copied = dict(pairs), True
+                    pairs.setdefault(key, tags[j])
+                    continue
+                if key in seen:
+                    continue
+                seen.add(key)
+            keep.append(j)
+        if len(keep) == len(cs):
+            break
+        q = Problem(env, tuple(cs[j] for j in keep))
+        tags = tuple(tags[j] for j in keep)
+        if not assigns:
+            st = tuple(st[j] for j in keep)
+            break
+    return q, tuple(moved), st, tags, pairs
 
 
 def _rewrite_pairs(pairs: dict, x: str, y: str, tag: int):
@@ -382,10 +379,6 @@ def _rewrite_pairs(pairs: dict, x: str, y: str, tag: int):
                 continue
         out.setdefault((a, b), t)
     return out, clashes
-
-
-def _pair_vars(pairs: dict) -> frozenset[str]:
-    return frozenset(v for pair in pairs for v in pair)
 
 
 def _block_conflicts(env: Env, c: Constraint, pairs: dict,
@@ -475,18 +468,16 @@ def decide(sig: Signature, p: Problem,
 
 def _search(sig: Signature, p: Problem,
             options: SolveOptions) -> SolveResult:
-    # Entries (problem, store, pairs, their variables, tags, level): pairs
-    # holds the solved name freshness set aside, tags holds each
-    # constraint's mask of the branching levels it rests on, and level
-    # counts the path's branching nodes.  conflicts[l] joins the conflicts
-    # of level l's failed branches.
-    stack: list[tuple] = [(p, (), {}, frozenset(), (0,) * len(p.constraints),
-                           0)]
+    # Entries (problem, store, pairs, tags, level): pairs holds the solved
+    # name freshness set aside, tags holds each constraint's mask of the
+    # branching levels it rests on, and level counts the path's branching
+    # nodes.  conflicts[l] joins the conflicts of level l's failed branches.
+    stack: list[tuple] = [(p, (), {}, (0,) * len(p.constraints), 0)]
     conflicts: list[int] = []
     nodes = 0
     dead_ends = 0
     while stack:
-        q, store, pairs, outside, tags, level = stack.pop()
+        q, store, pairs, tags, level = stack.pop()
         if has_clash(q):
             # A clash constraint never goes away, so no descendant of q is
             # solved; count each encounter with such a branch as a dead end.
@@ -494,10 +485,7 @@ def _search(sig: Signature, p: Problem,
             _backjump(stack, conflicts, min(
                 t for c, t in zip(q.constraints, tags) if c.clash))
             continue
-        q, moved, st, tags = _shelve(q, tags, outside)
-        q, st, tags, joined = _drop_repeats(q, st, tags, pairs)
-        if joined is not pairs:
-            pairs, outside = joined, _pair_vars(joined)
+        q, moved, st, tags, pairs = _settle(q, tags, pairs)
         store += moved
         idx = [i for i, s in enumerate(st) if s is None]
         if not idx:
@@ -521,20 +509,20 @@ def _search(sig: Signature, p: Problem,
             ti = tags[i]
             tags = _kid_tags(q, tags, i, kid, 0)
             c = q.constraints[i]
-            if outside and isinstance(c, Eq):
+            if pairs and isinstance(c, Eq):
                 # Only `eq x y` without binders substitutes a name variable:
                 # x:=y, its committed orientation.  The pairs that hold x
                 # are rewritten.
                 xs, x, _, y = c.split
-                if not xs and isinstance(x, Var) and x.name in outside \
+                if not xs and isinstance(x, Var) \
+                        and any(x.name in pair for pair in pairs) \
                         and x.name != y.name:
                     pairs, clashes = _rewrite_pairs(pairs, x.name, y.name, ti)
-                    outside = _pair_vars(pairs)
                     if clashes:
                         kid = Problem(kid.env, kid.constraints + tuple(
                             f for f, _ in clashes))
                         tags += tuple(t for _, t in clashes)
-            stack.append((kid, store, pairs, outside, tags, level))
+            stack.append((kid, store, pairs, tags, level))
             continue
         # Last branch first: the name kept apart from every binder.
         conflicts.append(0)
@@ -543,7 +531,7 @@ def _search(sig: Signature, p: Problem,
         for kid, conflict in zip(kids, _block_conflicts(
                 q.env, q.constraints[i], pairs, tags[i] | own)):
             if conflict is None:
-                stack.append((kid, store, pairs, outside,
+                stack.append((kid, store, pairs,
                               _kid_tags(q, tags, i, kid, own), level + 1))
             else:
                 dead_ends += 1
@@ -569,7 +557,7 @@ def extract_witness(sig: Signature, p: Problem,
     every freshness constraint; last, the store is filled in reverse order,
     each x from its t.
     """
-    _, moved, labels, _ = _shelve(p, (0,) * len(p.constraints))
+    _, moved, labels, _, _ = _settle(p, (0,) * len(p.constraints), {})
     if not all(s in SOLVED_FORMS for s in labels):
         raise NotSolved(f"not a solved problem: {p}")
     env = p.env

@@ -88,13 +88,19 @@ def _walk(t: Term, subst: dict[str, Term]) -> Term:
 
 
 def _occurs(x: str, t: Term, subst: dict[str, Term]) -> bool:
-    t = _walk(t, subst)
-    if isinstance(t, Var):
-        return t.name == x
-    if isinstance(t, STuple):
-        return any(_occurs(x, item, subst) for item in t.items)
-    if isinstance(t, SApp):
-        return _occurs(x, t.arg, subst)
+    """Whether x, unbound in subst, occurs in t under subst.  Reads each
+    term's `vars` and follows each variable subst binds once, with an
+    explicit stack, so no depth of t or of subst recurses."""
+    stack = [t]
+    followed: set[str] = set()
+    while stack:
+        vs = stack.pop().vars
+        if x in vs:
+            return True
+        for v in vs:
+            if v in subst and v not in followed:
+                followed.add(v)
+                stack.append(subst[v])
     return False
 
 

@@ -5,11 +5,12 @@ clash shapes) or exactly one rule applies to it, possibly with several
 branches.  `statuses` is the one classifier: it labels every constraint of
 a problem with its normal form, or None when a rule applies, in one pass.
 `expand` computes the branch problems for one constraint; `successors`
-assembles a successor set for a whole problem under the focused (first
-reducible constraint) or full (every reducible constraint) strategy.
+gives a whole problem's successor set, the branches of its first reducible
+constraint.
 """
 from __future__ import annotations
 
+from collections.abc import Container
 from functools import cache
 
 from .errors import InvalidSelection, NarrowOnVariable
@@ -31,7 +32,6 @@ from .schematic import (
     SUnit,
     Term,
     Var,
-    problem_vars,
     subst_constraint,
     wrap_abs,
 )
@@ -105,7 +105,7 @@ def _e(x: str, y: str) -> Eq:
     return Eq(_v(x), _v(y))
 
 
-def fresh_vars(taken: frozenset[str], count: int) -> tuple[str, ...]:
+def fresh_vars(taken: Container[str], count: int) -> tuple[str, ...]:
     """Deterministic fresh variable names: the lowest-numbered _vK names
     not already taken."""
     out: list[str] = []
@@ -119,7 +119,7 @@ def fresh_vars(taken: frozenset[str], count: int) -> tuple[str, ...]:
 
 
 def narrow(sig: Signature, ty: Type, shape: Term,
-           taken: frozenset[str]) -> tuple[dict[str, Type], Term]:
+           taken: Container[str]) -> tuple[dict[str, Type], Term]:
     """A one-layer pattern of type ty matching the head shape of `shape`,
     with fresh variables underneath."""
     if isinstance(shape, Var):
@@ -218,8 +218,7 @@ def _expand_eq(sig: Signature, p: Problem, i: int, c: Eq) -> tuple[Problem, ...]
         if k == 0:
             return (_subst_rest(p, i, [c], x.name, t),)
         # Narrow x to the head shape of t, then revisit the equation.
-        taken = frozenset(env) | problem_vars(p)
-        delta, pattern = narrow(sig, env[x.name], t, taken)
+        delta, pattern = narrow(sig, env[x.name], t, env)
         new_env = dict(env)
         new_env.update(delta)
         keep = [Eq(Var(x.name), pattern),
@@ -275,22 +274,11 @@ def statuses(p: Problem, outside: frozenset[str] = frozenset()
     return tuple(_classify(env, c, in_rest) for c in p.constraints)
 
 
-def successors(sig: Signature, p: Problem,
-               strategy: str = "focused") -> tuple[Problem, ...]:
-    """Successor set of p: empty iff p is terminal.
-
-    focused: branches of the first reducible constraint only (complete,
-    since every rule's branch set preserves satisfiability).
-    full: branches of every reducible constraint.
-    This is the paper's relation; the decider's search shortcuts over it
-    live in `decider`.
+def successors(sig: Signature, p: Problem) -> tuple[Problem, ...]:
+    """Successor set of p, empty iff p is terminal: the branches of its
+    first reducible constraint (complete, since every rule's branch set
+    preserves satisfiability).  This is the paper's relation; the decider's
+    search shortcuts over it live in `decider`.
     """
-    idx = [i for i, s in enumerate(statuses(p)) if s is None]
-    if not idx:
-        return ()
-    if strategy == "focused":
-        return expand(sig, p, idx[0], verify=False)
-    out: list[Problem] = []
-    for i in idx:
-        out.extend(expand(sig, p, i, verify=False))
-    return tuple(out)
+    i = next((i for i, s in enumerate(statuses(p)) if s is None), None)
+    return () if i is None else expand(sig, p, i, verify=False)

@@ -207,10 +207,6 @@ class Problem(Value):
         return "; ".join(str(c) for c in self.constraints) or "(empty)"
 
 
-def problem_vars(p: Problem) -> frozenset[str]:
-    return frozenset().union(*[c.vars for c in p.constraints])
-
-
 # ---------------------------------------------------------------------------
 # Typechecking
 

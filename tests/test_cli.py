@@ -461,12 +461,12 @@ DEEP_SIGNATURE = ("(signature (name-sort nm) (data-sort tm)\n"
 
 
 def test_solve_deep_equation_is_a_resource_limit(tmp_path, capsys):
-    # The collapse's occurs check (`foreduce._occurs`) recurses once per
+    # The type check (`infer_type`, in `check_problem`) recurses once per
     # level and overflows first.  The report is written only once it is
     # rendered, so none of it reaches stdout.
     path = tmp_path / "deep-eq.np"
     path.write_text(DEEP_SIGNATURE + "(vars (b (name nm)) (x (data tm)))\n"
-                    f"(constraints (eq x {_deep_term(300)}))\n")
+                    f"(constraints (eq x {_deep_term(400)}))\n")
     code, out, err = run(capsys, "solve", str(path))
     assert code == 3 and out == ""
     assert err == "error: input nested too deeply\n"

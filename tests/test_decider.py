@@ -18,7 +18,7 @@ from npnas.kernel import UNIT_T, AlphaTree, DataSortT, Name, NameSortT, make_sig
 from npnas.oracle import (
     brute_sat, random_eu_problem, random_problem, relation_sat)
 from npnas.rewrite import (
-    SOLVED_ASSIGN, expand, statuses, successors)
+    SOLVED_ASSIGN, expand, statuses)
 from npnas.schematic import (
     Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var, satisfies_all)
 
@@ -231,19 +231,19 @@ def test_solved_equations_leave_the_search_state(sig, monkeypatch):
         for i in range(n)))
     expanded = []
     moves = []
-    branches, shelve = decider._branches, decider._shelve
+    branches, settle = decider._branches, decider._settle
 
     def record(s, q, i):
         expanded.append(q)
         return branches(s, q, i)
 
     def record_moves(*args):
-        out = shelve(*args)
+        out = settle(*args)
         moves.append(len(out[1]))
         return out
 
     monkeypatch.setattr(decider, "_branches", record)
-    monkeypatch.setattr(decider, "_shelve", record_moves)
+    monkeypatch.setattr(decider, "_settle", record_moves)
     r = decide(sig, p)
     assert r.sat and satisfies_all(r.witness, p)
     assert len(expanded) > 100 and sum(map(bool, moves)) > 100
@@ -292,7 +292,7 @@ def _search_states(sig, p, limit=40):
     while frontier and len(states) < limit:
         q = frontier.pop(0)
         states.append(q)
-        frontier.extend(successors(sig, q, "full"))
+        frontier.extend(k for i in _reducible(q) for k in expand(sig, q, i))
     return states
 
 
@@ -369,16 +369,20 @@ def test_ex67_focused_search_is_small():
 # Backjumping
 
 def _chronological(sig, p):
-    """The focused search without backjumping and with repeated solved
-    freshness kept: every branch of every branching node is tried, last
-    first.  Returns the verdict and the number of nodes expanded."""
+    """The focused search without backjumping: every branch of every
+    branching node is tried, last first.  The solved name freshness that
+    `_settle` sets aside goes back at the end of the state before it
+    branches, so no pair is kept beside it.  Returns the verdict and the
+    number of nodes expanded."""
     stack = [p]
     nodes = 0
     while stack:
         q = stack.pop()
         if rewrite.has_clash(q):
             continue
-        q, _, st, _ = decider._shelve(q, (0,) * len(q.constraints))
+        q, _, st, _, pairs = decider._settle(q, (0,) * len(q.constraints), {})
+        q = Problem(q.env, q.constraints + tuple(
+            Fresh(a, Var(b)) for a, b in pairs))
         idx = [i for i, s in enumerate(st) if s is None]
         if not idx:
             return True, nodes
@@ -503,18 +507,45 @@ def test_a_renamed_pair_that_becomes_self_freshness_is_a_dead_end(sig):
         assert not r.sat and r.nodes == 1 and r.normal_forms == 1
 
 
-def _record_pairs(monkeypatch):
-    """Record, at every state the search labels, the state and its labels
-    as `_shelve` left them, the pairs beside it and the pairs after it."""
-    seen = []
-    drop = decider._drop_repeats
+def test_a_pair_and_a_term_substitution_unsat(sig):
+    # `fresh a0 a1` is set aside as a pair, and the single-branch step that
+    # follows substitutes x1 by a term, not by a variable: only an `eq x y`
+    # between name variables rewrites the pairs.
+    env = {"a0": NM, "a1": NM, "x0": kernel.AbsT("nm", TM), "x1": TM}
+    p = Problem(env, (Fresh("a1", Var("x1")),
+                      Eq(Var("x1"), SApp("V", Var("a1"))),
+                      Fresh("a0", Var("a1"))))
+    r = decide(sig, p)
+    assert not r.sat and r.reason == "exhausted-normal-forms"
+    assert r.nodes == 2
+    assert relation_sat(sig, p) is False
 
-    def record(q, st, tags, pairs):
-        out = drop(q, st, tags, pairs)
-        seen.append((q, st, pairs, out[3]))
+
+def test_a_pair_and_a_term_substitution_sat(sig):
+    # As above, with x0 substituted by a term in a state that is sat.
+    env = {"a0": NM, "a1": NM, "x0": TM}
+    t = SApp("L", SAbs("a1", Var("x0")))
+    p = Problem(env, (Eq(Var("x0"), SApp("L", SAbs("a0", SApp("Z", SUNIT)))),
+                      Fresh("a0", Var("a1")),
+                      Eq(t, t)))
+    r = decide(sig, p)
+    assert r.sat and r.nodes == 2 and satisfies_all(r.witness, p)
+    res = brute_sat(sig, p)
+    assert res.exact and res.sat
+
+
+def _record_pairs(monkeypatch):
+    """Record, at every state the search labels, the state, its labels and
+    the pairs beside it, as `_settle` leaves them."""
+    seen = []
+    settle = decider._settle
+
+    def record(q, tags, pairs):
+        out = settle(q, tags, pairs)
+        seen.append((out[0], out[2], out[4]))
         return out
 
-    monkeypatch.setattr(decider, "_drop_repeats", record)
+    monkeypatch.setattr(decider, "_settle", record)
     return seen
 
 
@@ -526,7 +557,7 @@ def test_pairs_label_the_state_as_if_put_back(monkeypatch):
     beside = 0
     for s, p in itertools.chain(_sampled_states(), _instances()):
         decide(s, p)
-        for q, st, pairs, _ in seen:
+        for q, st, pairs in seen:
             if not pairs:
                 continue
             n = len(q.constraints)
@@ -557,7 +588,7 @@ def test_every_sat_witness_satisfies_every_pair(monkeypatch):
         if decide(s, p).sat:
             (V,) = witnesses
             # The solved state is the last one labelled.
-            for a, b in seen[-1][3]:
+            for a, b in seen[-1][2]:
                 assert schematic.satisfies(V, Fresh(a, Var(b))), (p, a, b)
                 checked += 1
         seen.clear()
@@ -887,3 +918,35 @@ def test_a_deep_freshness_takes_the_same_nodes_at_every_depth(sig):
         assert r.sat
         return r.nodes
     assert nodes(50) == nodes(100) == nodes(200)
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's inputs
+
+def _bench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its file and only read."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_input_gets_a_checked_answer(monkeypatch):
+    # Each item of the three workloads once, in process: the planted
+    # verdict where there is one, and every sat witness re-checked.
+    workloads = _bench_workloads(monkeypatch)
+    solved = 0
+    for build in (workloads.np_stream, workloads.eu_stream,
+                  workloads.np_deep):
+        for item in build():
+            if item.eu:
+                s, p = EU_SIGNATURE, translate_eu(parse_eu(item.text))
+            else:
+                s, p = parse_problem(item.text)
+            r = decide(s, p)
+            assert item.expect is None or r.sat == item.expect, item.label
+            assert not r.sat or satisfies_all(r.witness, p), item.label
+            solved += 1
+    assert solved == 4340

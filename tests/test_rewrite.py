@@ -226,16 +226,6 @@ def test_successors_empty_iff_terminal(sig):
             s is not None for s in statuses(p))
 
 
-def test_full_strategy_covers_focused(sig):
-    rng = random.Random(23)
-    for _ in range(150):
-        _, p = random_problem(rng)
-        focused = successors(sig, p, "focused")
-        full = successors(sig, p, "full")
-        for q in focused:
-            assert q in full
-
-
 def test_solved_implies_terminal(sig):
     env = {"a": NM, "b": NM}
     p = prob(env, Fresh("a", Var("b")))
