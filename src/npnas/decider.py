@@ -25,8 +25,8 @@ skipping a state reached twice.
   branches: freshness under binders, or an equation of two prefixed
   variables.
 - Solved constraints set aside: each round labels the state once and
-  takes three kinds of solved constraint out of it; only a round that moved
-  an equation labels again.
+  takes three kinds of solved constraint out of it, and labels again
+  after a round that took any out.
   - The store: every solved `eq x t` (x isolated) leaves the state as a
     pair (x, t).  x occurs nowhere else, rules substitute only variables
     that occur in the rest, and narrowing adds only fresh names, so x never
@@ -36,20 +36,21 @@ skipping a state reached twice.
     unifier (Martelli and Montanari, TOPLAS 1982).
   - The pairs beside the store: every solved `fresh a b` whose target b is
     a name variable leaves the state for a per-path dict of pairs (a, b),
-    each with its tag; a pair already there keeps its tag.  The pairs'
-    variables still count as occurring in the rest, so every label is the
-    one the state would get with the pairs put back.  No rule applies to a
-    pair again, and only a substitution can change one: a name sort's only
-    terms are variables, so only `eq x y` without binders substitutes a
-    name variable, x:=y.  Then just the pairs that hold x are rewritten,
-    each adding the equation's tag as a rewritten constraint does.  A
-    rewritten pair stays solved or becomes the clash `fresh y y`, which
-    goes back into the state with its tag.  So every step and label is the
-    one the state with its pairs in it would give, and every tag still
-    names levels its constraint rests on; the search only stops re-reading
-    the pairs at every node, as Chaff looks at a clause again only when one
-    of its watched variables changes (Moskewicz et al., DAC 2001).  The
-    witness is checked against the pairs with the rest of the solved
+    each with its tag; a pair already there keeps its tag.  No rule applies
+    to a pair again, and its variables are not occurrences in the state.
+    A name variable x leaves the state only through the store, and a name
+    sort's only terms are variables, so x goes there as (x, y) with y a
+    name variable.  Then the pairs that hold x are rewritten x:=y, each
+    adding the equation's tag as a rewritten constraint does.  Each
+    rewritten pair is equivalent to the one it replaces, since x = y, and
+    no pair holds a variable of the store.  A rewritten pair stays solved
+    or becomes the clash `fresh y y`, which ends the branch with its tag.
+    So the state with its pairs is equisatisfiable with the state they
+    were set aside from, and every tag still names levels its constraint
+    rests on; the search reads the pairs again only when one of their
+    variables leaves the state, as Chaff looks at a clause again only when
+    one of its watched variables changes (Moskewicz et al., DAC 2001).
+    The witness is checked against the pairs with the rest of the solved
     state.
   - No repeats: of several copies of a solved `fresh x y` only the first
     stays, with its tag: in the state when y is a data variable, and among
@@ -207,7 +208,7 @@ def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
                 return (_subst_rest(q, i, [c], bl.name, br),)
         elif xs:
             x, t = (bl, br) if isinstance(bl, Var) else (br, bl)
-            return (_narrow_to_skeleton(sig, q, i, x, t),)
+            return (_narrow_to_skeleton(q, i, x, t),)
     return expand(sig, q, i, verify=False)
 
 
@@ -264,39 +265,39 @@ def _fresh_leaves(x: str, t: Term) -> list[Constraint]:
     return out
 
 
-def _narrow_to_skeleton(sig: Signature, q: Problem, i: int, x: Var,
-                        t: Term) -> Problem:
+def _narrow_to_skeleton(q: Problem, i: int, x: Var, t: Term) -> Problem:
     """Narrowing of x in reducible constraint i, `<xs>x = <ys>t` with xs
     non-empty, carried through all of t: x becomes t's constructor
     skeleton, with its own fresh variable for each variable and each binder
-    of t, typed from x's type down.  The block keeps `eq x skeleton` and
-    the leaves of constraint i with x replaced; x is replaced in the rest."""
+    of t, each typed as the variable or binder it stands for.  The block
+    keeps `eq x skeleton` and the leaves of constraint i with x replaced; x
+    is replaced in the rest."""
     env = q.env
-    nodes: list[tuple[Term, Type]] = []  # t's nodes in pre-order, typed
-    stack: list[tuple[Term, Type]] = [(t, env[x.name])]
+    nodes: list[Term] = []  # t's nodes in pre-order
+    stack: list[Term] = [t]
     while stack:
-        u, ty = stack.pop()
-        nodes.append((u, ty))
+        u = stack.pop()
+        nodes.append(u)
         if isinstance(u, SApp):
-            stack.append((u.arg, sig.arg_type(u.con)))
+            stack.append(u.arg)
         elif isinstance(u, STuple):
-            stack.extend(zip(reversed(u.items), reversed(ty.items)))
+            stack.extend(reversed(u.items))
         elif isinstance(u, SAbs):
-            stack.append((u.body, ty.body))
-    count = sum(isinstance(u, (Var, SAbs)) for u, _ in nodes)
+            stack.append(u.body)
+    count = sum(isinstance(u, (Var, SAbs)) for u in nodes)
     fresh = list(fresh_vars(env, count))
     new_env = dict(env)
     # In reverse pre-order children come before their parent, first child
     # on top, and the fresh names are taken from the end.
     built: list[Term] = []
-    for u, ty in reversed(nodes):
+    for u in reversed(nodes):
         if isinstance(u, Var):
             v = fresh.pop()
-            new_env[v] = ty
+            new_env[v] = env[u.name]
             built.append(Var(v))
         elif isinstance(u, SAbs):
             v = fresh.pop()
-            new_env[v] = NameSortT(ty.binder)
+            new_env[v] = env[u.binder]
             built.append(SAbs(v, built.pop()))
         elif isinstance(u, SApp):
             built.append(SApp(u.con, built.pop()))
@@ -311,35 +312,46 @@ def _narrow_to_skeleton(sig: Signature, q: Problem, i: int, x: Var,
 
 
 def _settle(q: Problem, tags: tuple[int, ...], pairs: dict):
-    """Set q's solved constraints aside.  Each round labels q once, with the
-    pairs' variables counted as occurring in the rest, and then moves every
-    solved `eq x t` (x isolated) to the store, joins every solved `fresh a
-    b` with b a name variable to `pairs`, a dict (a, b) -> tag (a new dict
-    when one joins; a pair already there keeps its tag), and keeps only the
-    first of the copies of a solved `fresh x y` with y a data variable.
-    Only a round that moved an equation labels again.  Returns what
-    remains, the (x, t) pairs in the order they moved, the statuses and the
-    tags of what remains, and the pairs; the moved pairs drop their tags."""
+    """Set q's solved constraints aside.  Each round labels q once and then
+    moves every solved `eq x t` (x isolated) to the store, joins every
+    solved `fresh a b` with b a name variable to `pairs`, a dict (a, b) ->
+    tag (a new dict when one joins or is rewritten; a pair already there
+    keeps its tag), and keeps only the first of the copies of a solved
+    `fresh x y` with y a data variable.  When a moved x is a name variable,
+    t is one too, and the pairs that hold x are rewritten x:=t, each adding
+    the equation's tag.  A round that took any constraint out labels again.
+    Returns what remains, the (x, t) pairs in the order they moved, the
+    labels and the tags of what remains, and the pairs; the moved pairs
+    drop their tags.  The labels are None when q holds a clash, or when a
+    rewritten pair becomes `fresh y y`, which then joins what remains with
+    its tag."""
+    if has_clash(q):
+        return q, (), None, tags, pairs
     env = q.env
     moved: list[tuple[str, Term]] = []
     copied = False
     while True:
-        outside = frozenset().union(*pairs) if pairs else frozenset()
-        st = statuses(q, outside)
+        st = statuses(q)
         assigns = SOLVED_ASSIGN in st
         if not assigns and SOLVED_FRESH not in st:
             break
         if assigns:
-            shared = shared_vars(q) | outside
+            shared = shared_vars(q)
         cs = q.constraints
         keep: list[int] = []
         seen: set = set()
+        clashes: list[tuple[Fresh, int]] = []
         for j, (c, s) in enumerate(zip(cs, st)):
             if s == SOLVED_ASSIGN:
                 if isinstance(c.lhs, Var) and c.lhs.name not in shared:
-                    moved.append((c.lhs.name, c.rhs))
+                    x, t = c.lhs.name, c.rhs
                 else:
-                    moved.append((c.rhs.name, c.lhs))
+                    x, t = c.rhs.name, c.lhs
+                moved.append((x, t))
+                if pairs and isinstance(env[x], NameSortT):
+                    pairs, found = _rewrite_pairs(pairs, x, t.name, tags[j])
+                    copied = True
+                    clashes += found
                 continue
             if s == SOLVED_FRESH:
                 key = (c.var, c.core.name)
@@ -354,11 +366,11 @@ def _settle(q: Problem, tags: tuple[int, ...], pairs: dict):
             keep.append(j)
         if len(keep) == len(cs):
             break
-        q = Problem(env, tuple(cs[j] for j in keep))
-        tags = tuple(tags[j] for j in keep)
-        if not assigns:
-            st = tuple(st[j] for j in keep)
-            break
+        q = Problem(env, tuple(cs[j] for j in keep)
+                    + tuple(f for f, _ in clashes))
+        tags = tuple(tags[j] for j in keep) + tuple(t for _, t in clashes)
+        if clashes:
+            return q, tuple(moved), None, tags, pairs
     return q, tuple(moved), st, tags, pairs
 
 
@@ -478,14 +490,14 @@ def _search(sig: Signature, p: Problem,
     dead_ends = 0
     while stack:
         q, store, pairs, tags, level = stack.pop()
-        if has_clash(q):
+        q, moved, st, tags, pairs = _settle(q, tags, pairs)
+        if st is None:
             # A clash constraint never goes away, so no descendant of q is
             # solved; count each encounter with such a branch as a dead end.
             dead_ends += 1
             _backjump(stack, conflicts, min(
                 t for c, t in zip(q.constraints, tags) if c.clash))
             continue
-        q, moved, st, tags, pairs = _settle(q, tags, pairs)
         store += moved
         idx = [i for i, s in enumerate(st) if s is None]
         if not idx:
@@ -506,23 +518,8 @@ def _search(sig: Signature, p: Problem,
         kids = _branches(sig, q, i)
         if len(kids) == 1:
             (kid,) = kids
-            ti = tags[i]
-            tags = _kid_tags(q, tags, i, kid, 0)
-            c = q.constraints[i]
-            if pairs and isinstance(c, Eq):
-                # Only `eq x y` without binders substitutes a name variable:
-                # x:=y, its committed orientation.  The pairs that hold x
-                # are rewritten.
-                xs, x, _, y = c.split
-                if not xs and isinstance(x, Var) \
-                        and any(x.name in pair for pair in pairs) \
-                        and x.name != y.name:
-                    pairs, clashes = _rewrite_pairs(pairs, x.name, y.name, ti)
-                    if clashes:
-                        kid = Problem(kid.env, kid.constraints + tuple(
-                            f for f, _ in clashes))
-                        tags += tuple(t for _, t in clashes)
-            stack.append((kid, store, pairs, tags, level))
+            stack.append((kid, store, pairs, _kid_tags(q, tags, i, kid, 0),
+                          level))
             continue
         # Last branch first: the name kept apart from every binder.
         conflicts.append(0)
@@ -558,7 +555,7 @@ def extract_witness(sig: Signature, p: Problem,
     each x from its t.
     """
     _, moved, labels, _, _ = _settle(p, (0,) * len(p.constraints), {})
-    if not all(s in SOLVED_FORMS for s in labels):
+    if labels is None or not all(s in SOLVED_FORMS for s in labels):
         raise NotSolved(f"not a solved problem: {p}")
     env = p.env
     V: dict[str, AlphaTree] = {}

@@ -261,16 +261,12 @@ def shared_vars(p: Problem) -> frozenset[str]:
     return frozenset(shared)
 
 
-def statuses(p: Problem, outside: frozenset[str] = frozenset()
-             ) -> tuple[str | None, ...]:
-    """Normal-form labels of all constraints, computed in one pass.  The
-    variables in `outside` count as occurring in the rest of p, as those of
-    constraints the caller keeps beside p do."""
-    shared = shared_vars(p)
-    if outside:
-        shared = shared | outside
+def statuses(p: Problem) -> tuple[str | None, ...]:
+    """Normal-form labels of all constraints, computed in one pass.  A
+    variable counts as occurring in the rest of p only when another of p's
+    constraints holds it."""
     env = p.env
-    in_rest = shared.__contains__
+    in_rest = shared_vars(p).__contains__
     return tuple(_classify(env, c, in_rest) for c in p.constraints)
 
 

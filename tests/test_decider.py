@@ -101,9 +101,10 @@ def test_agrees_with_oracle(sig):
 # Witness extraction
 
 def test_extract_witness_requires_solved(sig):
-    p = Problem({"x": TM}, (Eq(Var("x"), Var("x")),))
-    with pytest.raises(NotSolved):
-        extract_witness(sig, p)
+    for p in (Problem({"x": TM}, (Eq(Var("x"), Var("x")),)),
+              Problem({"a": NM}, (Fresh("a", Var("a")),))):
+        with pytest.raises(NotSolved):
+            extract_witness(sig, p)
 
 
 def test_search_rejects_a_witness_that_fails(sig, monkeypatch):
@@ -378,9 +379,9 @@ def _chronological(sig, p):
     nodes = 0
     while stack:
         q = stack.pop()
-        if rewrite.has_clash(q):
-            continue
         q, _, st, _, pairs = decider._settle(q, (0,) * len(q.constraints), {})
+        if st is None:
+            continue
         q = Problem(q.env, q.constraints + tuple(
             Fresh(a, Var(b)) for a, b in pairs))
         idx = [i for i, s in enumerate(st) if s is None]
@@ -446,7 +447,7 @@ def test_a_refuted_branching_node_skips_the_siblings_above_it(sig):
     # helper does not do).
     r = decide(sig, p)
     assert not r.sat and r.nodes == 3
-    assert _chronological(sig, p) == (False, 11)
+    assert _chronological(sig, p) == (False, 7)
     res = brute_sat(sig, p, pool=5)
     assert res.exact and not res.sat
 
@@ -498,13 +499,32 @@ def test_every_successor_replaces_one_constraint_by_a_block():
 # Solved name freshness beside the state
 
 def test_a_renamed_pair_that_becomes_self_freshness_is_a_dead_end(sig):
-    # `fresh a b` leaves the state as a pair; `eq a b` substitutes a:=b,
-    # which takes the pair to the clash `fresh b b`, whichever comes first.
+    # `fresh a b` leaves the state as a pair; `eq a b` is then solved and
+    # goes to the store as a:=b, which takes the pair to the clash `fresh b
+    # b`, whichever comes first.
     env = {"a": NM, "b": NM}
     for cs in ((Fresh("a", Var("b")), Eq(Var("a"), Var("b"))),
                (Eq(Var("a"), Var("b")), Fresh("a", Var("b")))):
         r = decide(sig, Problem(env, cs))
-        assert not r.sat and r.nodes == 1 and r.normal_forms == 1
+        assert not r.sat and r.nodes == 0 and r.normal_forms == 1
+
+
+def test_a_name_held_only_by_pairs_goes_to_the_store(sig):
+    # `eq a b` holds a and b, which the pairs hold too; they are not
+    # occurrences, so the equation is solved without a substitution node,
+    # and the pairs that hold a are rewritten a:=b.
+    env = {v: NM for v in "abcd"} | {"x": TM, "y": TM}
+    p = Problem(env, (Fresh("a", Var("c")), Fresh("b", Var("d")),
+                      Eq(Var("a"), Var("b")), Eq(Var("x"), Var("y"))))
+    r = decide(sig, p)
+    assert r.sat and r.nodes == 0 and satisfies_all(r.witness, p)
+    # A rewritten pair that becomes `fresh c c` ends the branch.
+    p = Problem(env, (Fresh("a", Var("c")), Eq(Var("x"), Var("y")),
+                      Eq(Var("a"), Var("c"))))
+    r = decide(sig, p)
+    assert not r.sat and r.reason == "exhausted-normal-forms"
+    assert r.nodes == 0 and r.normal_forms == 1
+    assert relation_sat(sig, p) is False
 
 
 def test_a_pair_and_a_term_substitution_unsat(sig):
@@ -535,40 +555,44 @@ def test_a_pair_and_a_term_substitution_sat(sig):
 
 
 def _record_pairs(monkeypatch):
-    """Record, at every state the search labels, the state, its labels and
-    the pairs beside it, as `_settle` leaves them."""
+    """Record, at every state the search labels, the state, its labels, the
+    pairs beside it and the path's store, as `_settle` leaves them."""
     seen = []
-    settle = decider._settle
+    stores = {}  # id(kid) -> (kid, the store of the state it came from)
+    settle, branches = decider._settle, decider._branches
 
     def record(q, tags, pairs):
         out = settle(q, tags, pairs)
-        seen.append((out[0], out[2], out[4]))
+        store = stores.get(id(q), (q, ()))[1] + out[1]
+        seen.append((out[0], out[2], out[4], store))
         return out
 
+    def record_branches(s, q, i):
+        kids = branches(s, q, i)
+        for kid in kids:
+            stores[id(kid)] = (kid, seen[-1][3])
+        return kids
+
     monkeypatch.setattr(decider, "_settle", record)
+    monkeypatch.setattr(decider, "_branches", record_branches)
     return seen
 
 
-def test_pairs_label_the_state_as_if_put_back(monkeypatch):
-    # The pairs' variables count as occurring in the rest, so each state is
-    # labelled as it would be with its pairs put back as `fresh` constraints,
-    # which are solved there.  Only pairs of name variables leave.
+def test_pairs_are_not_occurrences(monkeypatch):
+    # The labels are the state's own, without the pairs beside it; a pair
+    # holds two name variables, and none that has gone to the store.
     seen = _record_pairs(monkeypatch)
     beside = 0
     for s, p in itertools.chain(_sampled_states(), _instances()):
         decide(s, p)
-        for q, st, pairs in seen:
-            if not pairs:
-                continue
-            n = len(q.constraints)
-            back = Problem(q.env, q.constraints + tuple(
-                Fresh(a, Var(b)) for a, b in pairs))
-            labels = statuses(back)
-            assert st == labels[:n] == statuses(q, frozenset(
-                v for pair in pairs for v in pair)), (q, pairs)
-            assert set(labels[n:]) == {rewrite.SOLVED_FRESH}, (q, pairs)
-            assert all(isinstance(q.env[b], NameSortT) for _, b in pairs)
-            beside += 1
+        for q, st, pairs, store in seen:
+            if st is not None:
+                assert st == statuses(q), q
+            stored = {x for x, _ in store}
+            for pair in pairs:
+                assert all(isinstance(q.env[v], NameSortT) for v in pair)
+                assert not stored & set(pair), (q, pairs, store)
+            beside += bool(pairs)
         seen.clear()
     assert beside > 1000, beside
 
@@ -616,7 +640,7 @@ def test_a_binder_choice_refuted_by_a_pair_is_not_built():
     assert not r.sat and r.nodes == 1 and r.normal_forms == 2
 
 
-@pytest.mark.parametrize("n, nodes", [(3, 9), (4, 31), (5, 129)])
+@pytest.mark.parametrize("n, nodes", [(3, 5), (4, 16), (5, 65)])
 def test_pigeonhole_takes_fewer_nodes(n, nodes):
     # 20, 80 and 390 nodes without forward checking.
     families = _search_families()
@@ -638,7 +662,7 @@ def test_a_binder_choice_refuted_by_its_own_block_is_not_built(sig):
     p, _ = families.deep_problem("buried", 200, "200/1")
     limit = sys.getrecursionlimit()
     r = families.run_in_big_stack(lambda: decide(sig, p))
-    assert not r.sat and r.nodes == 17
+    assert not r.sat and r.nodes == 12
     assert sys.getrecursionlimit() == limit
 
 

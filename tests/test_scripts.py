@@ -71,8 +71,8 @@ def test_sweep_finds_no_bad_witness_and_no_disagreement():
     # here; a change that lowers one updates its pin.
     totals = [line for line in done.stderr.splitlines()
               if line.startswith("nodes ")]
-    assert totals == ["nodes np: 1428", "nodes np65: 1598",
-                      "nodes eu: 6136", "nodes ms: 365"]
+    assert totals == ["nodes np: 1423", "nodes np65: 1563",
+                      "nodes eu: 5724", "nodes ms: 364"]
 
 
 @pytest.mark.parametrize("argv, problems", [
