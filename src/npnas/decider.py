@@ -7,8 +7,8 @@ the problem is satisfiable iff some reachable terminal problem consists of
 solved constraints only, and a solved problem yields a concrete witness.
 
 The search departs from the paper's relation (`rewrite.expand`,
-`successors`) in six ways.  Committed orientation and single-branch first
-rest on the paper's result that every rule's branch set preserves
+`successors`) in six ways.  Committed orientation and the selection rest
+on the paper's result that every rule's branch set preserves
 satisfiability: one reducible constraint's branches are a complete choice,
 and the search terminates under any selection once the collapse succeeds.
 The search keeps no memo of states seen: termination and completeness rest
@@ -19,11 +19,17 @@ skipping a state reached twice.
   y:=x in the rest, keeping the equation), only the first is explored.  Each
   is equisatisfiable with the parent on its own, since it substitutes along
   an equation that stays in the problem.
-- Single-branch first: the first reducible constraint whose rule has one
-  branch is expanded before any that branches, as unit propagation comes
-  before branching in DPLL.  Only a name compared with a binder prefix
-  branches: freshness under binders, or an equation of two prefixed
-  variables.
+- Selection, single-branch first and then fail-first: a reducible
+  constraint whose rule has one branch goes before any that branches (only
+  a name compared with a binder prefix branches: freshness under binders,
+  or an equation of two prefixed variables).  Of those that branch, the
+  one that forward checking (below) leaves the fewest live branches goes
+  first, the first on a tie, and the scan stops at one with at most one:
+  fail-first (Haralick and Elliott, AIJ 1980), with DPLL's unit rule as its
+  one-live-branch case (Davis, Logemann and Loveland, CACM 1962).  One with
+  no live branch fails the node at once.  Any selection is complete, since
+  each reducible constraint's branches are a complete choice, and the tags
+  and backjumping below read only the constraint chosen.
 - Solved constraints set aside: each round labels the state once and
   takes three kinds of solved constraint out of it, and labels again
   after a round that took any out.
@@ -331,12 +337,10 @@ def _settle(q: Problem, tags: tuple[int, ...], pairs: dict):
     moved: list[tuple[str, Term]] = []
     copied = False
     while True:
-        st = statuses(q)
-        assigns = SOLVED_ASSIGN in st
-        if not assigns and SOLVED_FRESH not in st:
+        shared = shared_vars(q)
+        st = statuses(q, shared)
+        if SOLVED_ASSIGN not in st and SOLVED_FRESH not in st:
             break
-        if assigns:
-            shared = shared_vars(q)
         cs = q.constraints
         keep: list[int] = []
         seen: set = set()
@@ -429,6 +433,27 @@ def _block_conflicts(env: Env, c: Constraint, pairs: dict,
     return out
 
 
+def _select(q: Problem, idx: list[int], pairs: dict, tags: tuple[int, ...],
+            level: int) -> tuple[int, list[int | None] | None]:
+    """The reducible constraint to expand at a node of branching level
+    `level`, with its branches' `_block_conflicts`, or None when it has one
+    branch: the first single-branch one of idx, or else the first branching
+    one with the fewest live branches, stopping at one with at most one."""
+    env, cs = q.env, q.constraints
+    for i in idx:
+        if not _branching(env, cs[i]):
+            return i, None
+    best = None
+    for i in idx:
+        checked = _block_conflicts(env, cs[i], pairs, tags[i] | 1 << level)
+        live = checked.count(None)
+        if best is None or live < best[0]:
+            best = live, i, checked
+            if live <= 1:
+                break
+    return best[1:]
+
+
 def _kid_tags(q: Problem, tags: tuple[int, ...], i: int, kid: Problem,
               own: int) -> tuple[int, ...]:
     """The tags of a successor of q for constraint i: q's constraints with
@@ -513,10 +538,9 @@ def _search(sig: Signature, p: Problem,
         nodes += 1
         if options.budget is not None and nodes > options.budget:
             raise BudgetExhausted(f"expanded more than {options.budget} problems")
-        i = next((i for i in idx if not _branching(q.env, q.constraints[i])),
-                 idx[0])
+        i, checked = _select(q, idx, pairs, tags, level)
         kids = _branches(sig, q, i)
-        if len(kids) == 1:
+        if checked is None:
             (kid,) = kids
             stack.append((kid, store, pairs, _kid_tags(q, tags, i, kid, 0),
                           level))
@@ -525,8 +549,7 @@ def _search(sig: Signature, p: Problem,
         conflicts.append(0)
         own = 1 << level
         pushed = len(stack)
-        for kid, conflict in zip(kids, _block_conflicts(
-                q.env, q.constraints[i], pairs, tags[i] | own)):
+        for kid, conflict in zip(kids, checked):
             if conflict is None:
                 stack.append((kid, store, pairs,
                               _kid_tags(q, tags, i, kid, own), level + 1))

@@ -261,12 +261,13 @@ def shared_vars(p: Problem) -> frozenset[str]:
     return frozenset(shared)
 
 
-def statuses(p: Problem) -> tuple[str | None, ...]:
+def statuses(p: Problem, shared: frozenset[str] | None = None
+             ) -> tuple[str | None, ...]:
     """Normal-form labels of all constraints, computed in one pass.  A
     variable counts as occurring in the rest of p only when another of p's
-    constraints holds it."""
+    constraints holds it; `shared`, when given, is `shared_vars(p)`."""
     env = p.env
-    in_rest = shared_vars(p).__contains__
+    in_rest = (shared_vars(p) if shared is None else shared).__contains__
     return tuple(_classify(env, c, in_rest) for c in p.constraints)
 
 

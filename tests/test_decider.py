@@ -370,8 +370,9 @@ def test_ex67_focused_search_is_small():
 # Backjumping
 
 def _chronological(sig, p):
-    """The focused search without backjumping: every branch of every
-    branching node is tried, last first.  The solved name freshness that
+    """The focused search without backjumping or forward checking: every
+    branch of every branching node is tried, last first, at the constraint
+    the decider's own selection picks.  The solved name freshness that
     `_settle` sets aside goes back at the end of the state before it
     branches, so no pair is kept beside it.  Returns the verdict and the
     number of nodes expanded."""
@@ -379,17 +380,17 @@ def _chronological(sig, p):
     nodes = 0
     while stack:
         q = stack.pop()
-        q, _, st, _, pairs = decider._settle(q, (0,) * len(q.constraints), {})
+        q, _, st, tags, pairs = decider._settle(
+            q, (0,) * len(q.constraints), {})
         if st is None:
             continue
-        q = Problem(q.env, q.constraints + tuple(
-            Fresh(a, Var(b)) for a, b in pairs))
         idx = [i for i, s in enumerate(st) if s is None]
         if not idx:
             return True, nodes
         nodes += 1
-        i = next((i for i in idx
-                  if not decider._branching(q.env, q.constraints[i])), idx[0])
+        i, _ = decider._select(q, idx, pairs, tags, 0)
+        q = Problem(q.env, q.constraints + tuple(
+            Fresh(a, Var(b)) for a, b in pairs))
         stack.extend(decider._branches(sig, q, i))
     return False, nodes
 
@@ -433,23 +434,22 @@ def test_focused_and_full_verdicts_agree():
 
 
 def test_a_refuted_branching_node_skips_the_siblings_above_it(sig):
-    # Two branching freshness constraints come first, then one that fails
-    # under both of its branches whatever the first two chose.
-    # Its failure rests on no earlier choice, so the search stops there
-    # instead of retrying it under the other three combinations.
-    env = {v: NM for v in "abcde"}
+    # Two branching freshness constraints come first, then pigeonhole 3 over
+    # two binders, which fails whatever the first two chose.  Every one of
+    # them starts with two live branches, so the first two are chosen first
+    # and pigeonhole's first choice sits two levels deep.  Its failure
+    # rests on no earlier choice, so the search stops there instead of
+    # retrying it under the other three combinations (3 + 4 * 5 nodes).
+    ph = _search_families().pigeonhole(3)
+    env = {v: NM for v in "abc"} | ph.env
     p = Problem(env, (Fresh("a", SAbs("b", Var("c"))),
-                      Fresh("b", SAbs("c", Var("a"))),
-                      Fresh("d", SAbs("e", Var("d"))),
-                      Fresh("d", Var("e"))))
-    # The third node's branch d = e, which the pair `fresh d e` refutes, is
-    # not built (4 nodes without forward checking, which the chronological
-    # helper does not do).
+                      Fresh("b", SAbs("c", Var("a"))), *ph.constraints))
+    alone = decide(sig, ph)
+    assert not alone.sat and alone.nodes == 5
     r = decide(sig, p)
-    assert not r.sat and r.nodes == 3
-    assert _chronological(sig, p) == (False, 7)
-    res = brute_sat(sig, p, pool=5)
-    assert res.exact and not res.sat
+    assert not r.sat and r.nodes == 2 + alone.nodes
+    assert _chronological(sig, p) == (False, 19)
+    assert relation_sat(sig, p) is False
 
 
 def _substitution(q, i, kid):
@@ -688,24 +688,22 @@ def _per_block_conflict(block, pairs, base):
 
 
 def test_every_skipped_branch_is_unsat_with_its_pairs(monkeypatch):
-    # At every branching node the conflicts read off the branching
-    # constraint's prefix equal those read off each kid's block; a skipped
-    # kid with its pairs put back as `fresh` constraints must be unsat.
-    branches, check = decider._branches, decider._block_conflicts
-    node: list = []
+    # At every branching node the conflicts the selection hands over equal
+    # those read off each kid's block; a skipped kid with its pairs put
+    # back as `fresh` constraints must be unsat.
+    select = decider._select
+    sig: list = []
     skipped = []
     alone = 0  # skips the block's own freshness explains without the pairs
 
-    def record_branches(s, q, i):
-        kids = branches(s, q, i)
-        node[:] = [s, q, i, kids]
-        return kids
-
-    def record_check(env, c, pairs, base):
+    def record_select(q, idx, pairs, tags, level):
         nonlocal alone
-        s, q, i, kids = node
-        assert env is q.env and c is q.constraints[i]
-        conflicts = check(env, c, pairs, base)
+        i, conflicts = select(q, idx, pairs, tags, level)
+        if conflicts is None:
+            return i, conflicts
+        (s,) = sig
+        kids = decider._branches(s, q, i)
+        base = tags[i] | 1 << level
         assert len(conflicts) == len(kids) > 1, (q, i)
         for kid, conflict in zip(kids, conflicts):
             block = kid.constraints[i:i + len(kid.constraints)
@@ -716,11 +714,11 @@ def test_every_skipped_branch_is_unsat_with_its_pairs(monkeypatch):
                 alone += _per_block_conflict(block, {}, base) is not None
                 skipped.append((s, Problem(kid.env, kid.constraints + tuple(
                     Fresh(a, Var(b)) for a, b in pairs))))
-        return conflicts
+        return i, conflicts
 
-    monkeypatch.setattr(decider, "_branches", record_branches)
-    monkeypatch.setattr(decider, "_block_conflicts", record_check)
+    monkeypatch.setattr(decider, "_select", record_select)
     for s, p in _instances():
+        sig[:] = [s]
         decide(s, p)
     monkeypatch.undo()
     assert alone > 30 and len(skipped) - alone > 150, (alone, len(skipped))
@@ -731,6 +729,53 @@ def test_every_skipped_branch_is_unsat_with_its_pairs(monkeypatch):
             assert res.exact
             sat = res.sat
         assert sat is False, p
+
+
+def _fail_first(sig, q, idx, pairs):
+    """The constraint the search should expand, read off the kids'
+    blocks: the first single-branch one of idx; otherwise the first
+    branching one with at most one live branch (one whose block forward
+    checking does not refute), or else the first with the fewest."""
+    n = len(q.constraints)
+    live = {}
+    for i in idx:
+        kids = decider._branches(sig, q, i)
+        if len(kids) == 1:
+            return i
+        live[i] = sum(_per_block_conflict(
+            kid.constraints[i:i + len(kid.constraints) - n + 1], pairs, 0)
+            is None for kid in kids)
+    fewest = min(live.values())
+    return next(i for i in idx if live[i] <= max(fewest, 1))
+
+
+def test_the_search_branches_where_the_fewest_branches_stay_live(monkeypatch):
+    # At the search's own nodes, with their pairs, and at states that
+    # `expand` reaches.
+    select = decider._select
+    nodes = []
+    sig: list = []
+
+    def record_select(q, idx, pairs, tags, level):
+        out = select(q, idx, pairs, tags, level)
+        nodes.append((*sig, q, idx, pairs, out[0]))
+        return out
+
+    monkeypatch.setattr(decider, "_select", record_select)
+    for s, p in _instances():
+        sig[:] = [s]
+        decide(s, p)
+    monkeypatch.undo()
+    for s, q in _sampled_states():
+        idx = list(_reducible(q))
+        if idx:
+            nodes.append((s, q, idx, {}, select(
+                q, idx, {}, (0,) * len(q.constraints), 0)[0]))
+    moved = 0  # branching nodes that skip the first reducible constraint
+    for s, q, idx, pairs, i in nodes:
+        assert i == _fail_first(s, q, idx, pairs), (q, idx, pairs)
+        moved += i != idx[0] and decider._branching(q.env, q.constraints[i])
+    assert len(nodes) > 2500 and moved > 60, (len(nodes), moved)
 
 
 # ---------------------------------------------------------------------------

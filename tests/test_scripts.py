@@ -52,6 +52,19 @@ def test_search_families_sat_agrees_with_dpll_on_both_verdicts():
                for line in lines)
 
 
+def test_search_families_sat_node_total_is_pinned():
+    # The search branches where forward checking leaves the fewest live
+    # branches, so it meets each clause gadget as soon as the assignments
+    # reduce it to one live literal (7,093 nodes when it branched on the
+    # first branching constraint).  A change that lowers it updates the pin.
+    *lines, total = _script("scripts/search_families.py", "sat", "10",
+                            "--count", "4").splitlines()
+    assert total.startswith("total: 615 nodes ")
+    assert total.endswith(" 0 over budget, 0 wrong")
+    assert len(lines) == 4 and all(
+        line.split()[-1] == f"dpll={line.split()[1]}" for line in lines)
+
+
 def test_paired_runs_on_the_deep_family():
     out = _script("scripts/paired.py", ".", ".", "--family", "deep",
                   "--pairs", "1")
@@ -72,7 +85,7 @@ def test_sweep_finds_no_bad_witness_and_no_disagreement():
     totals = [line for line in done.stderr.splitlines()
               if line.startswith("nodes ")]
     assert totals == ["nodes np: 1423", "nodes np65: 1563",
-                      "nodes eu: 5724", "nodes ms: 364"]
+                      "nodes eu: 5342", "nodes ms: 364"]
 
 
 @pytest.mark.parametrize("argv, problems", [
