@@ -24,15 +24,30 @@ skipping a state reached twice.
   a name compared with a binder prefix branches: freshness under binders,
   or an equation of two prefixed variables).  Of those that branch, the
   one that forward checking (below) leaves the fewest live branches goes
-  first, the first on a tie, and the scan stops at one with at most one:
-  fail-first (Haralick and Elliott, AIJ 1980), with DPLL's unit rule as its
-  one-live-branch case (Davis, Logemann and Loveland, CACM 1962).  One with
-  no live branch fails the node at once.  Any selection is complete, since
+  first, the first on a tie, and the scan stops at one with none, which
+  fails the node at once: fail-first (Haralick and Elliott, AIJ 1980), with
+  DPLL's unit rule as its one-live-branch case (Davis, Logemann and
+  Loveland, CACM 1962).  Any selection is complete, since
   each reducible constraint's branches are a complete choice, and the tags
   and backjumping below read only the constraint chosen.
-- Solved constraints set aside: each round labels the state once and
-  takes three kinds of solved constraint out of it, and labels again
-  after a round that took any out.
+- Solved constraints set aside: each round labels the state once, takes
+  three kinds of solved constraint out of it and the steps that substitute
+  nothing in place, and labels again after a round that changed anything.
+  - In place: a reducible `eq x x` is dropped, an equation whose sides have
+    the same constructor, tuple or unit head goes to its leaves (unit pairs
+    drop out and a constructor mismatch stays as a clash), and a freshness
+    `fresh x <ys>t` whose core t is not a variable goes to its leaves: one
+    `fresh x <prefix>v` for each variable v of t outside a binder position,
+    under the binders above v, in left-to-right order.  Each leaf takes the
+    tag of the constraint it replaces, and a leaf that is a clash ends the
+    branch with its tag.  Each step is one of `expand`'s single-branch
+    rules or a chain of them while they decompose: `a # <ys>K(t)` holds iff
+    `a # <ys>t` does, a tuple's freshness is the conjunction of its items',
+    and a unit's always holds.  Each is an equivalence and decreases the
+    paper's termination measure, and it substitutes nothing, so the other
+    constraints and their tags stay as they are and the leaves take the
+    tag(i) | 0 that a single-branch node's block would (Martelli and
+    Montanari apply such steps at once in the same way).
   - The store: every solved `eq x t` (x isolated) leaves the state as a
     pair (x, t).  x occurs nowhere else, rules substitute only variables
     that occur in the rest, and narrowing adds only fresh names, so x never
@@ -98,33 +113,20 @@ skipping a state reached twice.
   tag(i) | own, and the pair on those in its tag, so that set is a valid
   conflict, and backjumping stays sound with any valid conflict.  A block
   holding a clash is pushed as before, so no pair tag widens its conflict.
-- Narrowing and decomposition to the leaves: a reducible `<xs>x = <ys>t`
-  with xs non-empty maps x to t's whole constructor skeleton in one step,
-  with its own fresh variable for each variable and each binder of t.  The
-  step keeps `eq x skeleton`, substitutes x in the rest and keeps the
-  leaves of the equation with x replaced.  An equation whose sides have
-  the same constructor, tuple or unit head goes to its leaves in one step:
-  unit pairs drop out and a constructor mismatch stays as a clash.  Each
-  step is the composition of `expand`'s single-branch narrowing and
-  decomposition steps on one constraint and its descendants, which ends
-  when none of them decomposes or narrows a variable the steps introduced.
-  It leaves out the `eq v pattern` that each later narrowing keeps, since v
-  occurs nowhere else, as for the store.  Each of those steps is an
-  equivalence, with the fresh variables read existentially, so the
-  composite preserves satisfiability, and each decreases the paper's
-  termination measure, so the composite does too (Martelli and Montanari
-  apply chains of single-branch steps at once in the same way).  The
-  block keeps q's other constraints in order, each kept or rewritten by
-  x's substitution, as the tags need.  A reducible `fresh x <ys>t` whose
-  core t is not a variable goes to its leaves in one step too: one
-  `fresh x <prefix>v` for each variable v of t outside a binder position,
-  under the binders above v, in left-to-right order.  This composes
-  `expand`'s freshness steps while they decompose: `a # <ys>K(t)` holds
-  iff `a # <ys>t` does, a tuple's freshness is the conjunction of its
-  items', and a unit's always holds.  Each of those steps is an
-  equivalence and decreases the termination measure, so the composite
-  preserves satisfiability and decreases the measure too.  A freshness
-  whose core is a variable still goes to `expand`.
+- Narrowing to the leaves: a reducible `<xs>x = <ys>t` with xs non-empty
+  maps x to t's whole constructor skeleton in one step, with its own fresh
+  variable for each variable and each binder of t.  The step keeps `eq x
+  skeleton`, substitutes x in the rest and keeps the leaves of the
+  equation with x replaced.  It is the composition of `expand`'s
+  single-branch narrowing and decomposition steps on one constraint and
+  its descendants, which ends when none of them decomposes or narrows a
+  variable the steps introduced.  It leaves out the `eq v pattern` that
+  each later narrowing keeps, since v occurs nowhere else, as for the
+  store.  Each of those steps is an equivalence, with the fresh variables
+  read existentially, so the composite preserves satisfiability, and each
+  decreases the paper's termination measure, so the composite does too.
+  The block keeps q's other constraints in order, each kept or rewritten
+  by x's substitution, as the tags need.
 """
 from __future__ import annotations
 
@@ -138,7 +140,6 @@ from .rewrite import (
     SOLVED_FORMS,
     SOLVED_FRESH,
     _f,
-    _replace,
     _subst_rest,
     expand,
     fresh_vars,
@@ -176,7 +177,8 @@ class SolveResult:
     sat: bool
     reason: str | None = None     # "fo-reduction" | "exhausted-normal-forms"
     witness: Valuation | None = None
-    nodes: int = 0                # problems whose successors were computed
+    nodes: int = 0                # problems whose successors were computed;
+                                  # `_settle`'s in-place steps are not nodes
     normal_forms: int = 0         # terminal problems encountered, and
                                   # branches forward checking skips; the
                                   # siblings backjumping skips are not
@@ -199,20 +201,14 @@ def _branching(env: Env, c: Constraint) -> bool:
 def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
     """The branches the search explores for reducible constraint i: all of
     `expand`'s, but only the first orientation of `eq x y` (x ≠ y: `expand`
-    drops `eq x x`), and narrowing and the decomposition of equations and
-    freshness carried to the leaves in one step."""
+    drops `eq x x`), and narrowing carried to the leaves in one step."""
     c = q.constraints[i]
-    if isinstance(c, Fresh):
-        if not isinstance(c.core, Var):
-            return (_replace(q, i, _fresh_leaves(c.var, c.target)),)
-    elif isinstance(c, Eq):
+    if isinstance(c, Eq):
         xs, bl, _, br = c.split
-        if not isinstance(bl, Var) and not isinstance(br, Var):
-            return (_replace(q, i, _leaves(c.lhs, c.rhs)),)
         if isinstance(bl, Var) and isinstance(br, Var):
             if not xs and bl.name != br.name:
                 return (_subst_rest(q, i, [c], bl.name, br),)
-        elif xs:
+        elif xs and (isinstance(bl, Var) or isinstance(br, Var)):
             x, t = (bl, br) if isinstance(bl, Var) else (br, bl)
             return (_narrow_to_skeleton(q, i, x, t),)
     return expand(sig, q, i, verify=False)
@@ -317,20 +313,36 @@ def _narrow_to_skeleton(q: Problem, i: int, x: Var, t: Term) -> Problem:
     return _subst_rest(q, i, block, x.name, skeleton, env=new_env)
 
 
+def _in_place(c: Constraint) -> list[Constraint] | None:
+    """What replaces reducible c when its rule has one branch and
+    substitutes nothing: nothing for `eq x x`, the leaves of an equation
+    whose sides have the same head or of a freshness whose core is not a
+    variable; None when another rule applies."""
+    if isinstance(c, Fresh):
+        return (None if isinstance(c.core, Var)
+                else _fresh_leaves(c.var, c.target))
+    xs, bl, _, br = c.split
+    if not isinstance(bl, Var) and not isinstance(br, Var):
+        return _leaves(c.lhs, c.rhs)
+    return [] if not xs and bl == br else None
+
+
 def _settle(q: Problem, tags: tuple[int, ...], pairs: dict):
-    """Set q's solved constraints aside.  Each round labels q once and then
-    moves every solved `eq x t` (x isolated) to the store, joins every
+    """Set q's solved constraints aside and take the steps that substitute
+    nothing in place.  Each round labels q once, replaces each reducible
+    constraint that `_in_place` rewrites by what it returns, each with its
+    tag, moves every solved `eq x t` (x isolated) to the store, joins every
     solved `fresh a b` with b a name variable to `pairs`, a dict (a, b) ->
     tag (a new dict when one joins or is rewritten; a pair already there
     keeps its tag), and keeps only the first of the copies of a solved
     `fresh x y` with y a data variable.  When a moved x is a name variable,
     t is one too, and the pairs that hold x are rewritten x:=t, each adding
-    the equation's tag.  A round that took any constraint out labels again.
+    the equation's tag.  A round that changed anything labels again.
     Returns what remains, the (x, t) pairs in the order they moved, the
     labels and the tags of what remains, and the pairs; the moved pairs
-    drop their tags.  The labels are None when q holds a clash, or when a
-    rewritten pair becomes `fresh y y`, which then joins what remains with
-    its tag."""
+    drop their tags.  The labels are None when q holds a clash, when a
+    leaf is one, or when a rewritten pair becomes `fresh y y`, which then
+    joins what remains with its tag."""
     if has_clash(q):
         return q, (), None, tags, pairs
     env = q.env
@@ -339,41 +351,50 @@ def _settle(q: Problem, tags: tuple[int, ...], pairs: dict):
     while True:
         shared = shared_vars(q)
         st = statuses(q, shared)
-        if SOLVED_ASSIGN not in st and SOLVED_FRESH not in st:
-            break
         cs = q.constraints
-        keep: list[int] = []
+        out: list[Constraint] = []
+        out_tags: list[int] = []
         seen: set = set()
         clashes: list[tuple[Fresh, int]] = []
-        for j, (c, s) in enumerate(zip(cs, st)):
-            if s == SOLVED_ASSIGN:
+        kept = 0
+        clash = False
+        for c, s, tag in zip(cs, st, tags):
+            if s is None:
+                leaves = _in_place(c)
+                if leaves is not None:
+                    out += leaves
+                    out_tags += [tag] * len(leaves)
+                    clash = clash or any(leaf.clash for leaf in leaves)
+                    continue
+            elif s == SOLVED_ASSIGN:
                 if isinstance(c.lhs, Var) and c.lhs.name not in shared:
                     x, t = c.lhs.name, c.rhs
                 else:
                     x, t = c.rhs.name, c.lhs
                 moved.append((x, t))
                 if pairs and isinstance(env[x], NameSortT):
-                    pairs, found = _rewrite_pairs(pairs, x, t.name, tags[j])
+                    pairs, found = _rewrite_pairs(pairs, x, t.name, tag)
                     copied = True
                     clashes += found
                 continue
-            if s == SOLVED_FRESH:
+            elif s == SOLVED_FRESH:
                 key = (c.var, c.core.name)
                 if isinstance(env[key[1]], NameSortT):
                     if not copied:
                         pairs, copied = dict(pairs), True
-                    pairs.setdefault(key, tags[j])
+                    pairs.setdefault(key, tag)
                     continue
                 if key in seen:
                     continue
                 seen.add(key)
-            keep.append(j)
-        if len(keep) == len(cs):
+            out.append(c)
+            out_tags.append(tag)
+            kept += 1
+        if kept == len(cs):
             break
-        q = Problem(env, tuple(cs[j] for j in keep)
-                    + tuple(f for f, _ in clashes))
-        tags = tuple(tags[j] for j in keep) + tuple(t for _, t in clashes)
-        if clashes:
+        q = Problem(env, tuple(out) + tuple(f for f, _ in clashes))
+        tags = tuple(out_tags) + tuple(t for _, t in clashes)
+        if clash or clashes:
             return q, tuple(moved), None, tags, pairs
     return q, tuple(moved), st, tags, pairs
 
@@ -438,7 +459,7 @@ def _select(q: Problem, idx: list[int], pairs: dict, tags: tuple[int, ...],
     """The reducible constraint to expand at a node of branching level
     `level`, with its branches' `_block_conflicts`, or None when it has one
     branch: the first single-branch one of idx, or else the first branching
-    one with the fewest live branches, stopping at one with at most one."""
+    one with the fewest live branches, stopping at one with none."""
     env, cs = q.env, q.constraints
     for i in idx:
         if not _branching(env, cs[i]):
@@ -449,7 +470,7 @@ def _select(q: Problem, idx: list[int], pairs: dict, tags: tuple[int, ...],
         live = checked.count(None)
         if best is None or live < best[0]:
             best = live, i, checked
-            if live <= 1:
+            if not live:
                 break
     return best[1:]
 
@@ -577,9 +598,9 @@ def extract_witness(sig: Signature, p: Problem,
     every freshness constraint; last, the store is filled in reverse order,
     each x from its t.
     """
-    _, moved, labels, _, _ = _settle(p, (0,) * len(p.constraints), {})
-    if labels is None or not all(s in SOLVED_FORMS for s in labels):
+    if not SOLVED_FORMS.issuperset(statuses(p)):
         raise NotSolved(f"not a solved problem: {p}")
+    _, moved, _, _, _ = _settle(p, (0,) * len(p.constraints), {})
     env = p.env
     V: dict[str, AlphaTree] = {}
     pool: dict[str, int] = {}

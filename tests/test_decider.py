@@ -20,7 +20,8 @@ from npnas.oracle import (
 from npnas.rewrite import (
     SOLVED_ASSIGN, expand, statuses)
 from npnas.schematic import (
-    Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var, satisfies_all)
+    CLASH_SELF_FRESH, Eq, Fresh, Problem, SAbs, SApp, STuple, SUNIT, Var,
+    satisfies_all)
 
 from termination_ref import fo_solution, measure, measure_less
 
@@ -257,7 +258,9 @@ def test_a_swap_chain_keeps_no_repeated_freshness(monkeypatch):
     # The branch tried first keeps each gadget's name apart from its
     # binders and leaves two `fresh` constraints, which every later `eq x y`
     # of the chain rewrites into copies of the same ones.  With the repeats
-    # kept, the largest state expanded here held 241 constraints.
+    # kept, the largest state expanded here held 241 constraints.  The
+    # `eq x x` that the last rewrite leaves is dropped in place, not by a
+    # node of its own (121 nodes while it took one).
     nt = "B"
     for _ in range(60):
         nt = f"(app (swap A c) {nt})"
@@ -272,7 +275,7 @@ def test_a_swap_chain_keeps_no_repeated_freshness(monkeypatch):
 
     monkeypatch.setattr(decider, "_branches", record)
     r = decide(EU_SIGNATURE, p)
-    assert r.sat and r.nodes == 121
+    assert r.sat and r.nodes == 120
     for q in expanded:
         fresh = [c for c, s in zip(q.constraints, statuses(q))
                  if s == rewrite.SOLVED_FRESH]
@@ -530,26 +533,28 @@ def test_a_name_held_only_by_pairs_goes_to_the_store(sig):
 def test_a_pair_and_a_term_substitution_unsat(sig):
     # `fresh a0 a1` is set aside as a pair, and the single-branch step that
     # follows substitutes x1 by a term, not by a variable: only an `eq x y`
-    # between name variables rewrites the pairs.
+    # between name variables rewrites the pairs.  The one node is that
+    # substitution; `fresh a1 (V a1)` then goes in place to `fresh a1 a1`.
     env = {"a0": NM, "a1": NM, "x0": kernel.AbsT("nm", TM), "x1": TM}
     p = Problem(env, (Fresh("a1", Var("x1")),
                       Eq(Var("x1"), SApp("V", Var("a1"))),
                       Fresh("a0", Var("a1"))))
     r = decide(sig, p)
     assert not r.sat and r.reason == "exhausted-normal-forms"
-    assert r.nodes == 2
+    assert r.nodes == 1
     assert relation_sat(sig, p) is False
 
 
 def test_a_pair_and_a_term_substitution_sat(sig):
-    # As above, with x0 substituted by a term in a state that is sat.
+    # As above, with x0 substituted by a term in a state that is sat; `eq t
+    # t` goes to its leaves in place, before and after the substitution.
     env = {"a0": NM, "a1": NM, "x0": TM}
     t = SApp("L", SAbs("a1", Var("x0")))
     p = Problem(env, (Eq(Var("x0"), SApp("L", SAbs("a0", SApp("Z", SUNIT)))),
                       Fresh("a0", Var("a1")),
                       Eq(t, t)))
     r = decide(sig, p)
-    assert r.sat and r.nodes == 2 and satisfies_all(r.witness, p)
+    assert r.sat and r.nodes == 1 and satisfies_all(r.witness, p)
     res = brute_sat(sig, p)
     assert res.exact and res.sat
 
@@ -651,18 +656,24 @@ def test_pigeonhole_takes_fewer_nodes(n, nodes):
 def test_a_binder_choice_refuted_by_its_own_block_is_not_built(sig):
     # `<x>y = <y>x`: the branch tried first keeps each body apart from its
     # binder, so its block holds `eq y x` beside `fresh y x` and `fresh x
-    # y`; it is skipped (4 nodes without it).
+    # y`; it is skipped, so no state `_settle` sees holds `fresh y x`.
     path = Path(__file__).parent.parent / "problems" / "swap-pair.np"
-    r = decide(*parse_problem(path.read_text()))
-    assert r.sat and r.nodes == 3
+    settled = []
+    settle = decider._settle
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(decider, "_settle",
+                  lambda *args: settled.append(args[0]) or settle(*args))
+        r = decide(*parse_problem(path.read_text()))
+    assert r.sat and r.nodes == 2 and len(settled) > 2
+    assert not any(Fresh("y", Var("x")) in q.constraints for q in settled)
     # A buried deep instance binds c0..c2 again and again along its term;
-    # the binder choices a repeated binder shadows are skipped (199 nodes
+    # the binder choices a repeated binder shadows are skipped (17 nodes
     # without it).
     families = _search_families()
     p, _ = families.deep_problem("buried", 200, "200/1")
     limit = sys.getrecursionlimit()
     r = families.run_in_big_stack(lambda: decide(sig, p))
-    assert not r.sat and r.nodes == 12
+    assert not r.sat and r.nodes == 11
     assert sys.getrecursionlimit() == limit
 
 
@@ -734,8 +745,8 @@ def test_every_skipped_branch_is_unsat_with_its_pairs(monkeypatch):
 def _fail_first(sig, q, idx, pairs):
     """The constraint the search should expand, read off the kids'
     blocks: the first single-branch one of idx; otherwise the first
-    branching one with at most one live branch (one whose block forward
-    checking does not refute), or else the first with the fewest."""
+    branching one with the fewest live branches (those whose block forward
+    checking does not refute)."""
     n = len(q.constraints)
     live = {}
     for i in idx:
@@ -746,12 +757,12 @@ def _fail_first(sig, q, idx, pairs):
             kid.constraints[i:i + len(kid.constraints) - n + 1], pairs, 0)
             is None for kid in kids)
     fewest = min(live.values())
-    return next(i for i in idx if live[i] <= max(fewest, 1))
+    return next(i for i in idx if live[i] == fewest)
 
 
 def test_the_search_branches_where_the_fewest_branches_stay_live(monkeypatch):
-    # At the search's own nodes, with their pairs, and at states that
-    # `expand` reaches.
+    # At the search's own nodes, with their pairs, from the instances and
+    # the sampled states, and at the sampled states themselves.
     select = decider._select
     nodes = []
     sig: list = []
@@ -762,7 +773,7 @@ def test_the_search_branches_where_the_fewest_branches_stay_live(monkeypatch):
         return out
 
     monkeypatch.setattr(decider, "_select", record_select)
-    for s, p in _instances():
+    for s, p in itertools.chain(_instances(), _sampled_states()):
         sig[:] = [s]
         decide(s, p)
     monkeypatch.undo()
@@ -778,12 +789,34 @@ def test_the_search_branches_where_the_fewest_branches_stay_live(monkeypatch):
     assert len(nodes) > 2500 and moved > 60, (len(nodes), moved)
 
 
+def test_a_refuted_constraint_is_taken_before_a_unit(sig):
+    # The pairs refute both binder choices of `<x>y = <y>x`, and the first
+    # of `fresh a <b>c`'s, which keeps one live branch.  The scan goes past
+    # that unit to the refuted constraint, so the node fails at once instead
+    # of one level lower (2 nodes).
+    env = {v: NM for v in "abcxy"}
+    q = Problem(env, (Fresh("a", SAbs("b", Var("c"))),
+                      Eq(SAbs("x", Var("y")), SAbs("y", Var("x")))))
+    pairs = {("a", "b"): 0, ("x", "y"): 0}
+    live = [decider._block_conflicts(env, c, pairs, 1).count(None)
+            for c in q.constraints]
+    assert live == [1, 0]
+    i, conflicts = decider._select(q, [0, 1], pairs, (0, 0), 0)
+    assert i == 1 and None not in conflicts
+    p = Problem(env, (Fresh("a", Var("b")), Fresh("x", Var("y")),
+                      *q.constraints))
+    r = decide(sig, p)
+    assert not r.sat and r.nodes == 1
+    assert relation_sat(sig, p) is False
+
+
 # ---------------------------------------------------------------------------
 # Narrowing and decomposition to the leaves in one step
 
 def _fused_rule(q, j, st):
     """'decompose', 'narrow' or 'fresh' when the search takes constraint j
-    of q to its leaves in one step, else None; with the variable narrowed."""
+    of q to its leaves in one step, 'drop' for `eq x x`, else None; with the
+    variable narrowed."""
     c = q.constraints[j]
     if st[j] is not None:
         return None, None
@@ -795,7 +828,7 @@ def _fused_rule(q, j, st):
         return "decompose", None
     if isinstance(bl, Var) != isinstance(br, Var) and xs:
         return "narrow", (bl if isinstance(bl, Var) else br).name
-    return None, None
+    return ("drop" if not xs and bl == br else None), None
 
 
 def _single_steps(sig, q, i):
@@ -892,6 +925,16 @@ def _deep_shaped_states():
                 yield from ((sig, q) for q in _search_states(sig, p))
 
 
+def _one_step(sig, q, i, rule):
+    """q after the search's one step for constraint i: `_settle` takes a
+    decomposition or freshness to its leaves in place, and a narrowing is
+    the one branch of `_branches`."""
+    if rule == "narrow":
+        (kid,) = decider._branches(sig, q, i)
+        return kid
+    return rewrite._replace(q, i, decider._in_place(q.constraints[i]))
+
+
 def _fused_steps():
     """(sig, q, i, rule) for every constraint of the sampled and
     np-deep-shaped states that the search takes to its leaves in one
@@ -905,9 +948,10 @@ def _fused_steps():
 
 
 def test_one_step_to_the_leaves_composes_expands_steps():
-    counts = {"decompose": 0, "narrow": 0, "fresh": 0, "chained": 0}
+    counts = {"decompose": 0, "narrow": 0, "fresh": 0, "drop": 0,
+              "chained": 0}
     for s, q, i, rule in _fused_steps():
-        (fused,) = decider._branches(s, q, i)
+        fused = _one_step(s, q, i, rule)
         ref, introduced = _single_steps(s, q, i)
         # Each single narrowing keeps `eq v pattern`; the one step keeps
         # only the first variable's, and v occurs nowhere else.
@@ -923,17 +967,41 @@ def test_one_step_to_the_leaves_composes_expands_steps():
 
 
 def test_one_step_to_the_leaves_decreases_the_measure():
-    stepped = {"decompose": 0, "narrow": 0, "fresh": 0}
+    stepped = {"decompose": 0, "narrow": 0, "fresh": 0, "drop": 0}
     for s, q, i, rule in _fused_steps():
         if not foreduce.fo_sat(s, q):
             continue
-        (kid,) = decider._branches(s, q, i)
+        kid = _one_step(s, q, i, rule)
         assert foreduce.fo_sat(s, kid), (q, i)
         before = measure(s, q, fo_solution(s, q))
         after = measure(s, kid, fo_solution(s, kid))
         assert measure_less(after, before), (q, i)
         stepped[rule] += 1
     assert sum(stepped.values()) > 200 and stepped["fresh"] > 100, stepped
+    assert stepped["drop"] > 100, stepped
+
+
+def test_settle_takes_the_steps_that_substitute_nothing_in_place():
+    # What `_settle` leaves holds no `eq x x`, no equation whose sides have
+    # the same head and no freshness whose core is not a variable, unless a
+    # clash ended the branch first.  Constraint j comes in with tag 1 << j,
+    # and each leaf keeps its source's tag.
+    leaves = 0
+    for s, q in _sampled_states():
+        tags = tuple(1 << j for j in range(len(q.constraints)))
+        out, _, st, out_tags, _ = decider._settle(q, tags, {})
+        if st is None:
+            assert rewrite.has_clash(out), q
+        else:
+            for j, c in enumerate(out.constraints):
+                assert _fused_rule(out, j, st)[0] in (None, "narrow"), (q, c)
+        for c, t in zip(out.constraints, out_tags):
+            if c.clash == CLASH_SELF_FRESH and t & (t - 1):
+                continue  # a rewritten pair: its tag joins the equation's
+            src = q.constraints[t.bit_length() - 1]
+            assert t & (t - 1) == 0 and c.vars <= src.vars, (q, c, t)
+            leaves += c is not src
+    assert leaves > 300, leaves
 
 
 def test_a_deep_skeleton_is_built_without_recursion(sig):
@@ -966,8 +1034,7 @@ def test_a_deep_freshness_decomposes_without_recursion(sig):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        (kid,) = decider._branches(sig, p, 0)
-        (leaf,) = kid.constraints
+        (leaf,) = decider._in_place(p.constraints[0])
         ys, core = schematic.abs_prefix(leaf.target)
         assert leaf.var == "a" and ys == ("b",) * 1500 and core == Var("b")
     finally:
@@ -975,8 +1042,8 @@ def test_a_deep_freshness_decomposes_without_recursion(sig):
 
 
 def test_a_deep_freshness_takes_the_same_nodes_at_every_depth(sig):
-    # One step takes `fresh a T` to its leaf, whatever T's depth, and the
-    # unrelated equations take the same steps beside it.
+    # `_settle` takes `fresh a T` to its leaf in place, whatever T's depth,
+    # and the unrelated equations take the same steps beside it.
     def nodes(depth):
         env = {"a": NM, "b": NM}
         cs = [Fresh("a", _deep_term(depth))]
