@@ -64,7 +64,6 @@ import threading
 import time
 
 from npnas import decider
-from npnas.decider import SolveOptions
 from npnas.errors import BudgetExhausted, PoolTooLarge
 from npnas.eubridge import (
     EU_SIGNATURE, EUEq, EUFresh, EUProblem, PSwap, PVar, Susp, Vertex,
@@ -273,7 +272,7 @@ def timed_decide(sig, p: Problem):
     decider.extract_witness = timed
     t0 = time.perf_counter()
     try:
-        r = decider.decide(sig, p, SolveOptions(budget=BUDGET))
+        r = decider.decide(sig, p, budget=BUDGET)
     except BudgetExhausted:
         r = None
     finally:

@@ -30,7 +30,7 @@ import sys
 from collections import Counter
 
 from npnas.cli import format_problem, parse_problem
-from npnas.decider import SolveOptions, decide
+from npnas.decider import decide
 from npnas.errors import BudgetExhausted
 from npnas.eubridge import EU_SIGNATURE, eu_brute_sat, translate_eu
 from npnas.kernel import (
@@ -123,7 +123,7 @@ def main() -> int:
     for family, i, sig, p, expected in families():
         head = f"{family} {i}"
         try:
-            r = decide(sig, p, SolveOptions(budget=BUDGET))
+            r = decide(sig, p, budget=BUDGET)
         except BudgetExhausted:
             print(f"{head} budget")
             continue

@@ -1,7 +1,7 @@
 """Satisfiability of equality and freshness constraints over
 non-permutative nominal abstract syntax."""
 
-from .decider import SolveOptions, SolveResult, decide, extract_witness
+from .decider import SolveResult, decide, extract_witness
 from .kernel import (
     AlphaTree,
     Name,
@@ -19,7 +19,6 @@ __all__ = [
     "Name",
     "Problem",
     "Signature",
-    "SolveOptions",
     "SolveResult",
     "canonicalize",
     "decide",

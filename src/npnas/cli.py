@@ -33,7 +33,7 @@ import sys
 import traceback
 
 from . import eubridge
-from .decider import SolveOptions, decide
+from .decider import decide
 from .errors import (BudgetExhausted, NotSolved, NpnasError, PoolTooLarge,
                      SearchSpaceTooLarge, SourceSyntaxError, UndeclaredSort,
                      ValidationError)
@@ -393,7 +393,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     sig, p = _load_np(args.file)
-    result = decide(sig, p, SolveOptions(budget=args.budget))
+    result = decide(sig, p, budget=args.budget)
     # The report is rendered in full before any of it is written, so a
     # witness too deep to print leaves stdout empty and exits 3.
     lines = [f"result: {'sat' if result.sat else 'unsat'}"]

@@ -36,14 +36,15 @@ skipping a state reached twice.
   - In place: a reducible `eq x x` is dropped, an equation whose sides have
     the same constructor, tuple or unit head goes to its leaves (unit pairs
     drop out and a constructor mismatch stays as a clash), and a freshness
-    `fresh x <ys>t` whose core t is not a variable goes to its leaves: one
-    `fresh x <prefix>v` for each variable v of t outside a binder position,
-    under the binders above v, in left-to-right order.  Each leaf takes the
-    tag of the constraint it replaces, and a leaf that is a clash ends the
-    branch with its tag.  Each step is one of `expand`'s single-branch
-    rules or a chain of them while they decompose: `a # <ys>K(t)` holds iff
-    `a # <ys>t` does, a tuple's freshness is the conjunction of its items',
-    and a unit's always holds.  Each is an equivalence and decreases the
+    `fresh x t` whose core is not a variable goes to its leaves as the walk
+    of `eq t t` does: every leaf is a variable v of t outside a binder
+    position, under the binders above v, and becomes `fresh x <prefix>v`,
+    in left-to-right order.  Each leaf takes the tag of the constraint it
+    replaces, and a leaf that is a clash ends the branch with its tag.
+    Each step is one of `expand`'s single-branch rules or a chain of them
+    while they decompose: `a # <ys>K(t)` holds iff `a # <ys>t` does, a
+    tuple's freshness is the conjunction of its items', and a unit's
+    always holds.  Each is an equivalence and decreases the
     paper's termination measure, and it substitutes nothing, so the other
     constraints and their tags stay as they are and the leaves take the
     tag(i) | 0 that a single-branch node's block would (Martelli and
@@ -113,23 +114,24 @@ skipping a state reached twice.
   tag(i) | own, and the pair on those in its tag, so that set is a valid
   conflict, and backjumping stays sound with any valid conflict.  A block
   holding a clash is pushed as before, so no pair tag widens its conflict.
-- Narrowing to the leaves: a reducible `<xs>x = <ys>t` with xs non-empty
+- Narrowing to the skeleton: a reducible `<xs>x = <ys>t` with xs non-empty
   maps x to t's whole constructor skeleton in one step, with its own fresh
   variable for each variable and each binder of t.  The step keeps `eq x
-  skeleton`, substitutes x in the rest and keeps the leaves of the
-  equation with x replaced.  It is the composition of `expand`'s
-  single-branch narrowing and decomposition steps on one constraint and
-  its descendants, which ends when none of them decomposes or narrows a
-  variable the steps introduced.  It leaves out the `eq v pattern` that
-  each later narrowing keeps, since v occurs nowhere else, as for the
-  store.  Each of those steps is an equivalence, with the fresh variables
-  read existentially, so the composite preserves satisfiability, and each
-  decreases the paper's termination measure, so the composite does too.
-  The block keeps q's other constraints in order, each kept or rewritten
-  by x's substitution, as the tags need.
+  skeleton` and the equation with x replaced, and substitutes x in the
+  rest; the next `_settle` takes that equation to its leaves in place.  It
+  is a chain of `expand`'s narrowing steps, one for x and one for each
+  variable a step introduced over a node of the skeleton, with the
+  decompositions that "In place" argues between them.  It leaves out the
+  `eq v pattern` that each later narrowing keeps, since v occurs nowhere
+  else, as for the store.  Each narrowing is an equivalence, with the
+  fresh variables read existentially, and decreases the paper's
+  termination measure, so the chain does both.  The block keeps q's other
+  constraints in order, each kept or rewritten by x's substitution, as the
+  tags need.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, NotSolved
@@ -168,11 +170,6 @@ from .schematic import (
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    budget: int | None = None     # max problems expanded
-
-
-@dataclass(frozen=True)
 class SolveResult:
     sat: bool
     reason: str | None = None     # "fo-reduction" | "exhausted-normal-forms"
@@ -201,7 +198,7 @@ def _branching(env: Env, c: Constraint) -> bool:
 def _branches(sig: Signature, q: Problem, i: int) -> tuple[Problem, ...]:
     """The branches the search explores for reducible constraint i: all of
     `expand`'s, but only the first orientation of `eq x y` (x ≠ y: `expand`
-    drops `eq x x`), and narrowing carried to the leaves in one step."""
+    drops `eq x x`), and narrowing to the whole skeleton in one step."""
     c = q.constraints[i]
     if isinstance(c, Eq):
         xs, bl, _, br = c.split
@@ -223,13 +220,12 @@ def _wrap(prefix: tuple | None, core: Term) -> Term:
     return core
 
 
-def _leaves(lhs: Term, rhs: Term) -> list[Constraint]:
-    """The equations left, in left-to-right order, when `eq lhs rhs` is
-    decomposed wherever both sides have the same constructor, tuple or unit
-    head: a pair of units drops out, and a pair of distinct constructors
-    stays as a clash.  Binder prefixes are carried down as linked lists and
-    wrapped once per leaf."""
-    out: list[Constraint] = []
+def _leaves(lhs: Term, rhs: Term) -> Iterator[tuple]:
+    """The leaf pairs (xs, l, ys, r), in left-to-right order, left when
+    `eq lhs rhs` is decomposed wherever both sides have the same
+    constructor, tuple or unit head: a pair of units drops out, and a pair
+    of distinct constructors is a leaf.  xs and ys are the binder prefixes
+    above l and r, as linked lists for `_wrap`."""
     stack: list[tuple] = [(None, lhs, None, rhs)]
     while stack:
         xs, l, ys, r = stack.pop()
@@ -242,29 +238,7 @@ def _leaves(lhs: Term, rhs: Term) -> list[Constraint]:
             stack.extend((xs, a, ys, b) for a, b in
                          zip(reversed(l.items), reversed(r.items)))
         elif not (isinstance(l, SUnit) and isinstance(r, SUnit)):
-            out.append(Eq(_wrap(xs, l), _wrap(ys, r)))
-    return out
-
-
-def _fresh_leaves(x: str, t: Term) -> list[Constraint]:
-    """The freshness constraints left, in left-to-right order, when
-    `fresh x t` is decomposed through every constructor and tuple: one
-    `fresh x <prefix>v` for each variable v of t outside a binder position,
-    under the binders above v.  Units drop out.  Binder prefixes are
-    carried down as linked lists and wrapped once per leaf."""
-    out: list[Constraint] = []
-    stack: list[tuple] = [(None, t)]
-    while stack:
-        ys, u = stack.pop()
-        while isinstance(u, SAbs):
-            ys, u = (u.binder, ys), u.body
-        if isinstance(u, SApp):
-            stack.append((ys, u.arg))
-        elif isinstance(u, STuple):
-            stack.extend((ys, item) for item in reversed(u.items))
-        elif isinstance(u, Var):
-            out.append(Fresh(x, _wrap(ys, u)))
-    return out
+            yield xs, l, ys, r
 
 
 def _narrow_to_skeleton(q: Problem, i: int, x: Var, t: Term) -> Problem:
@@ -272,8 +246,8 @@ def _narrow_to_skeleton(q: Problem, i: int, x: Var, t: Term) -> Problem:
     non-empty, carried through all of t: x becomes t's constructor
     skeleton, with its own fresh variable for each variable and each binder
     of t, each typed as the variable or binder it stands for.  The block
-    keeps `eq x skeleton` and the leaves of constraint i with x replaced; x
-    is replaced in the rest."""
+    keeps `eq x skeleton` and constraint i with x replaced, which the next
+    `_settle` takes to its leaves; x is replaced in the rest."""
     env = q.env
     nodes: list[Term] = []  # t's nodes in pre-order
     stack: list[Term] = [t]
@@ -309,21 +283,26 @@ def _narrow_to_skeleton(q: Problem, i: int, x: Var, t: Term) -> Problem:
             built.append(STuple(tuple(built.pop() for _ in u.items)))
     (skeleton,) = built
     kept = subst_constraint(q.constraints[i], x.name, skeleton)
-    block = [Eq(x, skeleton), *_leaves(kept.lhs, kept.rhs)]
-    return _subst_rest(q, i, block, x.name, skeleton, env=new_env)
+    return _subst_rest(q, i, [Eq(x, skeleton), kept], x.name, skeleton,
+                       env=new_env)
 
 
 def _in_place(c: Constraint) -> list[Constraint] | None:
     """What replaces reducible c when its rule has one branch and
-    substitutes nothing: nothing for `eq x x`, the leaves of an equation
-    whose sides have the same head or of a freshness whose core is not a
-    variable; None when another rule applies."""
+    substitutes nothing: nothing for `eq x x`, and the `_leaves` of an
+    equation whose sides have the same head, each wrapped in its binders;
+    None when another rule applies.  A freshness `fresh x t` whose core is
+    not a variable decomposes as the walk of `eq t t` does: every leaf is a
+    variable pair, and becomes `fresh x <prefix>v`."""
     if isinstance(c, Fresh):
-        return (None if isinstance(c.core, Var)
-                else _fresh_leaves(c.var, c.target))
+        if isinstance(c.core, Var):
+            return None
+        t = c.target
+        return [Fresh(c.var, _wrap(ys, v)) for _, _, ys, v in _leaves(t, t)]
     xs, bl, _, br = c.split
     if not isinstance(bl, Var) and not isinstance(br, Var):
-        return _leaves(c.lhs, c.rhs)
+        return [Eq(_wrap(lp, l), _wrap(rp, r))
+                for lp, l, rp, r in _leaves(c.lhs, c.rhs)]
     return [] if not xs and bl == br else None
 
 
@@ -517,15 +496,15 @@ def _backjump(stack: list, conflicts: list[int], conflict: int) -> None:
 
 
 def decide(sig: Signature, p: Problem,
-           options: SolveOptions = SolveOptions()) -> SolveResult:
+           budget: int | None = None) -> SolveResult:
+    """p's verdict; BudgetExhausted past `budget` search nodes."""
     check_problem(sig, p)
     if not fo_sat(sig, p):
         return SolveResult(sat=False, reason="fo-reduction")
-    return _search(sig, p, options)
+    return _search(sig, p, budget)
 
 
-def _search(sig: Signature, p: Problem,
-            options: SolveOptions) -> SolveResult:
+def _search(sig: Signature, p: Problem, budget: int | None) -> SolveResult:
     # Entries (problem, store, pairs, tags, level): pairs holds the solved
     # name freshness set aside, tags holds each constraint's mask of the
     # branching levels it rests on, and level counts the path's branching
@@ -557,8 +536,8 @@ def _search(sig: Signature, p: Problem,
             return SolveResult(sat=True, witness=V, nodes=nodes,
                                normal_forms=dead_ends + 1)
         nodes += 1
-        if options.budget is not None and nodes > options.budget:
-            raise BudgetExhausted(f"expanded more than {options.budget} problems")
+        if budget is not None and nodes > budget:
+            raise BudgetExhausted(f"expanded more than {budget} problems")
         i, checked = _select(q, idx, pairs, tags, level)
         kids = _branches(sig, q, i)
         if checked is None:

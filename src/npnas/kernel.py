@@ -372,9 +372,6 @@ class AlphaTree(Value):
     def free_names(self) -> frozenset[Name]:
         return self.node.names
 
-    def is_name(self) -> bool:
-        return isinstance(self.node, Name)
-
     def name(self) -> Name:
         if not isinstance(self.node, Name):
             raise TypeMismatch("alpha-tree is not a bare name")

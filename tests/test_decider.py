@@ -10,11 +10,12 @@ import pytest
 
 from npnas import decider, foreduce, kernel, oracle, rewrite, schematic
 from npnas.cli import parse_eu, parse_problem
-from npnas.decider import SolveOptions, decide, extract_witness
+from npnas.decider import decide, extract_witness
 from npnas.errors import (
     BudgetExhausted, IllFormedProblem, NotSolved)
 from npnas.eubridge import EU_SIGNATURE, translate_eu
-from npnas.kernel import UNIT_T, AlphaTree, DataSortT, Name, NameSortT, make_signature
+from npnas.kernel import (
+    UNIT_T, AlphaTree, DataSortT, Name, NameSortT, TupleT, make_signature)
 from npnas.oracle import (
     brute_sat, random_eu_problem, random_problem, relation_sat)
 from npnas.rewrite import (
@@ -65,7 +66,7 @@ def test_budget_exhaustion(sig):
                  Eq(Var("x"), SApp("V", Var("a"))),
                  Eq(Var("y"), SApp("V", Var("b")))))
     with pytest.raises(BudgetExhausted):
-        decide(sig, p, SolveOptions(budget=0))
+        decide(sig, p, budget=0)
 
 
 def test_strategies_agree(sig):
@@ -356,7 +357,7 @@ def test_committed_choice_shrinks_the_eu_search():
     # both orientations of every name equation.
     rng = random.Random(51)
     p = [random_eu_problem(rng) for _ in range(22)][21]
-    assert decide(EU_SIGNATURE, translate_eu(p), SolveOptions(budget=500)).sat
+    assert decide(EU_SIGNATURE, translate_eu(p), budget=500).sat
 
 
 def _ex67():
@@ -928,10 +929,11 @@ def _deep_shaped_states():
 def _one_step(sig, q, i, rule):
     """q after the search's one step for constraint i: `_settle` takes a
     decomposition or freshness to its leaves in place, and a narrowing is
-    the one branch of `_branches`."""
+    the one branch of `_branches`, whose kept equation at i + 1 `_settle`
+    then takes to its leaves the same way."""
     if rule == "narrow":
-        (kid,) = decider._branches(sig, q, i)
-        return kid
+        (q,) = decider._branches(sig, q, i)
+        i += 1
     return rewrite._replace(q, i, decider._in_place(q.constraints[i]))
 
 
@@ -1014,7 +1016,8 @@ def test_a_deep_skeleton_is_built_without_recursion(sig):
     sys.setrecursionlimit(1000)
     try:
         (kid,) = decider._branches(sig, p, 0)
-        keep, leaf = kid.constraints
+        keep, kept = kid.constraints
+        (leaf,) = decider._in_place(kept)
         shape = [(v, "?" if v else tok) for tok, v in _scan(Eq(Var("x"), t))]
         assert [(v, "?" if v else tok) for tok, v in _scan(keep)] == shape
         names = [tok for tok, v in _scan(keep) if v][1:]
@@ -1025,6 +1028,26 @@ def test_a_deep_skeleton_is_built_without_recursion(sig):
         assert len(xs) == len(ys) == 1501 and isinstance(core, Var)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_narrowing_one_layer_is_expands_step(sig):
+    # When t is one constructor over a variable, a tuple of variables or the
+    # unit, t's skeleton is `expand`'s one-layer pattern, and the search's
+    # one branch is `expand`'s, env included: `eq x pattern` and the
+    # equation with x replaced, which `_settle` takes to its leaves.
+    tt = TupleT((TM, TM))
+    env = {"a": NM, "b": NM, "c": NM, "x": TM, "y": TM, "z": TM, "w": tt,
+           "u": UNIT_T}
+    cases = [("x", SApp("V", Var("c"))), ("x", SApp("P", Var("w"))),
+             ("w", STuple((Var("y"), Var("z")))), ("u", SUNIT)]
+    for x, t in cases:
+        for sides in ((SAbs("a", Var(x)), SAbs("b", t)),
+                      (SAbs("b", t), SAbs("a", Var(x)))):
+            q = Problem(env, (Fresh("c", Var(x)), Eq(*sides),
+                              Eq(Var(x), Var(x))))
+            (kid,) = decider._branches(sig, q, 1)
+            (ref,) = expand(sig, q, 1)
+            assert kid == ref and kid.env == ref.env, (x, t)
 
 
 def test_a_deep_freshness_decomposes_without_recursion(sig):

@@ -1,5 +1,5 @@
-"""The names the benchmark and the scripts import from npnas, the keywords
-they pass to `SolveOptions`, and npnas.__all__, resolve.
+"""The names the benchmark and the scripts import from npnas, and
+npnas.__all__, resolve.
 
 The benchmark under perfbench/ is kept unchanged while the package
 changes, so a name it imports that moves or goes fails here, not only
@@ -7,14 +7,12 @@ in a benchmark run.  The scripts under scripts/ are checked the same way.
 This module only reads those files.
 """
 import ast
-import dataclasses
 import importlib
 import pathlib
 
 import pytest
 
 import npnas
-from npnas.decider import SolveOptions
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -68,24 +66,6 @@ def test_benchmark_imports_resolve():
 
 def test_script_imports_resolve():
     assert not (missing := _unresolved("scripts")), missing
-
-
-def _solve_option_calls(directory: str):
-    """(file, keywords) for each call of SolveOptions under directory."""
-    for path, node in _nodes(directory):
-        func = getattr(node, "func", None)  # only calls have one
-        if getattr(func, "id", getattr(func, "attr", None)) == "SolveOptions":
-            yield path.name, [kw.arg for kw in node.keywords]
-
-
-def test_solve_option_keywords_name_fields():
-    # A keyword that names no field fails only when its script next runs.
-    fields = {f.name for f in dataclasses.fields(SolveOptions)}
-    calls = [*_solve_option_calls("perfbench"), *_solve_option_calls("scripts")]
-    assert calls, "no SolveOptions call found"
-    stale = [f"{file}: SolveOptions({kw}=...)"
-             for file, kws in calls for kw in kws if kw not in fields]
-    assert not stale, stale
 
 
 @pytest.mark.parametrize("name", npnas.__all__)
